@@ -39,8 +39,6 @@ from .interlace import (
     InterlaceVerdict,
     Method,
     avoider_automaton,
-    fast_length_three,
-    fast_single_letter,
     in_b_x,
     in_class_a,
     interlaced,
@@ -108,8 +106,6 @@ __all__ = [
     "decompose_bordered",
     "enumerate_bordered",
     "equal_length_family",
-    "fast_length_three",
-    "fast_single_letter",
     "finiteness_verdict",
     "from_json",
     "grafted_bordered_automaton",

@@ -55,9 +55,6 @@ class Dfa:
     def state_count(self) -> int:
         return len(self.transitions)
 
-    def step(self, state: int, symbol: str) -> int:
-        return self.transitions[state][self.alphabet.index(symbol)]
-
     def run(self, word: Word) -> Iterator[int]:
         """States visited after each symbol of word (start state not included)."""
         state = self.start
@@ -310,6 +307,19 @@ def to_json(a: Dfa) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false parse to bool, an int subclass that must not pass as a number
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _state_set(items, key: str) -> frozenset[int]:
+    if not isinstance(items, list) or not all(_is_int(s) for s in items):
+        raise MalformedJsonError(f"{key} must be a list of integer states")
+    if len(set(items)) != len(items):
+        raise MalformedJsonError(f"{key} lists a state more than once")
+    return frozenset(items)
+
+
 def from_json(text: str) -> Dfa:
     """Parse the JSON produced by to_json, validating the schema."""
     try:
@@ -322,13 +332,15 @@ def from_json(text: str) -> Dfa:
         alphabet = Alphabet(doc["alphabet"])
         n = doc["state_count"]
         start = doc["start"]
-        accepting = frozenset(doc["accepting"])
-        mark = frozenset(doc["match_mark"]) if "match_mark" in doc else None
+        accepting = _state_set(doc["accepting"], "accepting")
+        mark = _state_set(doc["match_mark"], "match_mark") if "match_mark" in doc else None
         triples = doc["transitions"]
     except (KeyError, TypeError, ValueError, AlphabetTooSmallError) as exc:
         raise MalformedJsonError(f"bad DFA document: {exc}") from None
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise MalformedJsonError("state_count must be a positive integer")
+    if not _is_int(start):
+        raise MalformedJsonError("start must be an integer state")
     k = len(alphabet)
     table: list[list[int | None]] = [[None] * k for _ in range(n)]
     if not isinstance(triples, list) or len(triples) != n * k:
@@ -337,7 +349,7 @@ def from_json(text: str) -> Dfa:
         if not (isinstance(item, list) and len(item) == 3):
             raise MalformedJsonError(f"bad transition entry: {item!r}")
         src, sym, dst = item
-        if not (isinstance(src, int) and 0 <= src < n and isinstance(dst, int) and 0 <= dst < n):
+        if not (_is_int(src) and 0 <= src < n and _is_int(dst) and 0 <= dst < n):
             raise MalformedJsonError(f"transition state out of range: {item!r}")
         if sym not in alphabet:
             raise MalformedJsonError(f"transition symbol {sym!r} not in alphabet")

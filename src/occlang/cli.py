@@ -15,20 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import automata, finiteness, interlace, oracle, regularity
 from .errors import NotRegularError, OcclangError
 from .words import Alphabet, count_occurrences
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved per-invocation options shared by the subcommand handlers."""
-
-    alphabet: Alphabet | None
-    json_output: bool
-    method: str = "auto"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
     p.add_argument("y")
     _add_alphabet_flags(p)
-    p.add_argument("--method", choices=["auto", "general", "fast"], default="auto")
+    p.add_argument("--method", choices=["auto", "general"], default="auto")
     _add_json_flag(p)
 
     p = commands.add_parser("regular", help="are the occurrence-comparison languages for X, Y regular?")
@@ -108,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args, *inputs: str) -> CliConfig:
+def _resolve_alphabet(args, *inputs: str) -> Alphabet:
     if args.alphabet is not None:
         alphabet = Alphabet(args.alphabet)
     elif args.infer_alphabet:
@@ -120,11 +110,7 @@ def _resolve_config(args, *inputs: str) -> CliConfig:
         raise OcclangError("an explicit --alphabet is required (or pass --infer-alphabet)")
     for w in inputs:
         alphabet.require(w)
-    return CliConfig(
-        alphabet=alphabet,
-        json_output=getattr(args, "json", False),
-        method=getattr(args, "method", "auto"),
-    )
+    return alphabet
 
 
 def _emit(doc: dict, human: str, as_json: bool) -> None:
@@ -145,9 +131,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_interlaced(args) -> int:
-    config = _resolve_config(args, args.x, args.y)
-    alphabet = config.alphabet
-    verdict = interlace.interlaced(args.x, args.y, alphabet, method=config.method)
+    alphabet = _resolve_alphabet(args, args.x, args.y)
+    verdict = interlace.interlaced(args.x, args.y, alphabet, method=args.method)
     doc = {
         "command": "interlaced",
         "x": args.x,
@@ -161,7 +146,7 @@ def _cmd_interlaced(args) -> int:
         human = f"yes: every {args.x}-bordered word over {{{''.join(alphabet)}}} contains {args.y}"
     else:
         human = f"no: {verdict.witness} is {args.x}-bordered and avoids {args.y}"
-    _emit(doc, human, config.json_output)
+    _emit(doc, human, args.json)
     return 0
 
 
@@ -179,8 +164,7 @@ def _outcome_doc(args, alphabet, outcome) -> dict:
 
 
 def _cmd_regular(args) -> int:
-    config = _resolve_config(args, args.x, args.y)
-    alphabet = config.alphabet
+    alphabet = _resolve_alphabet(args, args.x, args.y)
     outcome = regularity.decide_regularity(args.x, args.y, alphabet)
     doc = _outcome_doc(args, alphabet, outcome)
     if outcome.regular:
@@ -190,12 +174,12 @@ def _cmd_regular(args) -> int:
             "".join(alphabet),
             json.dumps(outcome.certificate.to_json_dict(), indent=2),
         )
-    _emit(doc, human, config.json_output)
+    _emit(doc, human, args.json)
     return 0
 
 
 def _cmd_dfa(args) -> int:
-    alphabet = _resolve_config(args, args.x, args.y).alphabet
+    alphabet = _resolve_alphabet(args, args.x, args.y)
     rel = regularity.Relation(args.relation)
     try:
         dfa = regularity.build_comparison_dfa(args.x, args.y, alphabet, rel)
@@ -207,8 +191,7 @@ def _cmd_dfa(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    config = _resolve_config(args, args.x, args.y)
-    alphabet = config.alphabet
+    alphabet = _resolve_alphabet(args, args.x, args.y)
     verdict = interlace.is_interlaced_by(args.x, args.y, alphabet)
     doc = {
         "command": "witness",
@@ -217,13 +200,12 @@ def _cmd_witness(args) -> int:
         "alphabet": _alphabet_list(alphabet),
         "witness": verdict.witness,
     }
-    _emit(doc, verdict.witness if verdict.witness is not None else "none", config.json_output)
+    _emit(doc, verdict.witness if verdict.witness is not None else "none", args.json)
     return 0
 
 
 def _cmd_finite(args) -> int:
-    config = _resolve_config(args, args.x, args.y)
-    alphabet = config.alphabet
+    alphabet = _resolve_alphabet(args, args.x, args.y)
     finite = finiteness.is_finite_pair(args.x, args.y, alphabet)
     doc = {
         "command": "finite",
@@ -232,7 +214,7 @@ def _cmd_finite(args) -> int:
         "alphabet": _alphabet_list(alphabet),
         "finite": finite,
     }
-    _emit(doc, "finite" if finite else "infinite", config.json_output)
+    _emit(doc, "finite" if finite else "infinite", args.json)
     return 0
 
 
@@ -253,8 +235,7 @@ def _cmd_debruijn(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = _resolve_config(args, args.x, args.y)
-    alphabet = config.alphabet
+    alphabet = _resolve_alphabet(args, args.x, args.y)
     x, y = args.x, args.y
     max_len = args.max_len
     checks: list[dict] = []
@@ -268,7 +249,7 @@ def _cmd_validate(args) -> int:
 
     if len(alphabet) >= 2:
         for a, b in ((x, y), (y, x)):
-            fast = interlace.interlaced(a, b, alphabet, method="fast")
+            fast = interlace.interlaced(a, b, alphabet)
             general = interlace.is_interlaced_by(a, b, alphabet)
             check(
                 f"fast-vs-general-{a}-{b}",
@@ -314,7 +295,7 @@ def _cmd_validate(args) -> int:
     }
     lines = [f"{'PASS' if c['pass'] else 'FAIL'} {c['name']}: {c['detail']}" for c in checks]
     lines.append("all checks passed" if doc["pass"] else "SOME CHECKS FAILED")
-    _emit(doc, "\n".join(lines), config.json_output)
+    _emit(doc, "\n".join(lines), args.json)
     return 0
 
 

@@ -1,12 +1,13 @@
 """Interlacing tests: is a pattern a subword of every bordered extension of a word?
 
-``x is interlaced by y`` means y occurs in every x-bordered word.  The general
-decision method intersects the bordered-word recognizer with a pattern
-avoider and checks emptiness; over binary and three-or-more-letter alphabets
-constant-length padding tests give the same answer much faster.  All fast
-paths are phrased from the opposite side of the relation ("x in every
-y-bordered word"), so callers must keep the orientation straight; the public
-dispatcher does.
+``x is interlaced by y`` means y occurs in every x-bordered word, and every
+function here takes its arguments in that one orientation.  The general
+method intersects the bordered-word recognizer with a pattern avoider and
+checks emptiness; its shortest accepted word is the canonical witness.  Over
+two or more symbols the paper's corollaries make a constant-length padding
+test exact: y occurs in every x-bordered word iff it occurs in x·t·x for all
+eight binary t of length 3 (no shorter length works for every pair), or,
+over three or more symbols, for every single symbol t.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .automata import (
 )
 from .errors import (
     AlphabetNotBinaryError,
-    AlphabetTooSmallError,
     EmptyPatternError,
     NotInClassAError,
 )
@@ -39,9 +39,6 @@ class Method(enum.Enum):
     GENERAL_AUTOMATON = "general-automaton"
     SINGLE_LETTER = "single-letter"
     LENGTH_THREE = "length-three"
-    # Reserved for verdicts derived from the class-A regular-set
-    # characterization (in_class_a / in_b_x); not picked by the dispatcher.
-    CLASS_AB = "class-ab"
 
 
 @dataclass(frozen=True)
@@ -82,51 +79,11 @@ def is_interlaced_by(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
     return InterlaceVerdict(holds=witness is None, witness=witness, method=Method.GENERAL_AUTOMATON)
 
 
-def _first_avoiding_pad(pattern: Word, border: Word, alphabet: Alphabet, pad_length: int):
-    """First t (in symbol order) with |t| = pad_length such that border+t+border avoids pattern."""
-    for t in product(alphabet.symbols, repeat=pad_length):
-        mid = "".join(t)
-        if pattern not in border + mid + border:
-            return mid
-    return None
-
-
-def fast_single_letter(x: Word, y: Word, alphabet: Alphabet) -> bool:
-    """Whether x is a subword of y·t·y for every single symbol t.
-
-    Over an alphabet of three or more symbols this is equivalent to x being a
-    subword of every y-bordered word, i.e. to y being interlaced by x.
-    """
-    if len(alphabet) < 3:
-        raise AlphabetTooSmallError("the single-letter test needs at least three symbols")
-    if not x or not y:
-        raise EmptyPatternError("the single-letter test needs nonempty words")
-    alphabet.require(x)
-    alphabet.require(y)
-    return _first_avoiding_pad(x, y, alphabet, 1) is None
-
-
-_BINARY = Alphabet("01")
-
-
 def _require_binary(*ws: Word) -> None:
     for w in ws:
         for ch in w:
             if ch not in ("0", "1"):
                 raise AlphabetNotBinaryError(f"{w!r} is not a word over {{0, 1}}")
-
-
-def fast_length_three(x: Word, y: Word) -> bool:
-    """Whether x is a subword of y·t·y for all eight binary words t of length 3.
-
-    Over the binary alphabet this is equivalent to x being a subword of every
-    y-bordered word, i.e. to y being interlaced by x.  Three is optimal: no
-    shorter padding length works for every binary x, y.
-    """
-    if not x or not y:
-        raise EmptyPatternError("the length-three test needs nonempty words")
-    _require_binary(x, y)
-    return _first_avoiding_pad(x, y, _BINARY, 3) is None
 
 
 _CLASS_A = re.compile(r"01+|10+|0+1|1+0")
@@ -167,25 +124,24 @@ def interlaced(x: Word, y: Word, alphabet: Alphabet, method: str = "auto") -> In
 
     auto picks the length-three padding test over two-symbol alphabets, the
     single-letter test over three or more symbols, and the general automaton
-    over unary alphabets.  Fast-path counterexamples are the bordered padding
-    words x·t·x themselves, not necessarily the shortest witnesses; use
+    over unary alphabets.  Padding counterexamples are the bordered words
+    x·t·x themselves, not necessarily the shortest witnesses; use
     method="general" for canonical shortest witnesses.
     """
-    if method not in ("auto", "general", "fast"):
+    if method not in ("auto", "general"):
         raise ValueError(f"unknown method {method!r}")
     if not x or not y:
         raise EmptyPatternError("interlacing needs nonempty words")
     alphabet.require(x)
     alphabet.require(y)
-    if method == "general" or (method == "auto" and len(alphabet) == 1):
+    if method == "general" or len(alphabet) == 1:
         return is_interlaced_by(x, y, alphabet)
-    if method == "fast" and len(alphabet) == 1:
-        raise AlphabetTooSmallError("no constant-length fast path over a unary alphabet")
     if len(alphabet) >= 3:
         pad_length, tag = 1, Method.SINGLE_LETTER
     else:
         pad_length, tag = 3, Method.LENGTH_THREE
-    bad = _first_avoiding_pad(y, x, alphabet, pad_length)
-    if bad is None:
-        return InterlaceVerdict(holds=True, witness=None, method=tag)
-    return InterlaceVerdict(holds=False, witness=x + bad + x, method=tag)
+    for t in product(alphabet.symbols, repeat=pad_length):
+        padded = x + "".join(t) + x
+        if y not in padded:
+            return InterlaceVerdict(holds=False, witness=padded, method=tag)
+    return InterlaceVerdict(holds=True, witness=None, method=tag)

@@ -27,7 +27,7 @@ from .errors import (
     EmptyPatternError,
     NotRegularError,
 )
-from .interlace import avoider_automaton, is_interlaced_by
+from .interlace import avoider_automaton, interlaced
 from .words import (
     Alphabet,
     BorderDecomposition,
@@ -162,14 +162,16 @@ def decide_regularity(x: Word, y: Word, alphabet: Alphabet) -> RegularityOutcome
     """Whether the comparison languages for x, y over the alphabet are regular.
 
     The criterion is the same for every comparison relation: regular iff x is
-    interlaced by y or y is interlaced by x.
+    interlaced by y or y is interlaced by x.  Each direction is decided by the
+    padding test (the general automaton over unary alphabets, where every
+    pair is regular); automata are searched only for the certificate.
     """
     if not x or not y:
         raise EmptyPatternError("regularity needs nonempty patterns")
     alphabet.require(x)
     alphabet.require(y)
-    x_by_y = is_interlaced_by(x, y, alphabet)
-    y_by_x = is_interlaced_by(y, x, alphabet)
+    x_by_y = interlaced(x, y, alphabet)
+    y_by_x = interlaced(y, x, alphabet)
     if x_by_y.holds and y_by_x.holds:
         return RegularityOutcome(True, Direction.BOTH, None)
     if x_by_y.holds:

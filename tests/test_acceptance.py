@@ -12,6 +12,7 @@ import pytest
 
 from occlang import (
     Alphabet,
+    Method,
     Relation,
     avoider_automaton,
     bounded_equal_census,
@@ -21,10 +22,9 @@ from occlang import (
     de_bruijn_word,
     decide_regularity,
     equal_length_family,
-    fast_length_three,
-    fast_single_letter,
     grafted_bordered_automaton,
     in_b_x,
+    interlaced,
     is_finite_pair,
     is_interlaced_by,
     non_regularity_certificate,
@@ -86,10 +86,10 @@ def test_criterion_02_verdict_triple():
 
 def test_criterion_03_interlacing_golden_case():
     general = is_interlaced_by("000100", "1000", BIN).holds
-    fast = fast_length_three("1000", "000100")
+    fast = interlaced("000100", "1000", BIN)
     report(
         3,
-        general and fast,
+        general and fast.holds and fast.method is Method.LENGTH_THREE,
         "000100 is interlaced by 1000: general method and length-three test both agree",
     )
 
@@ -101,10 +101,11 @@ def test_criterion_04_remark_reproduction():
     failures = {
         "".join(t) for t in product("01", repeat=3) if x not in y + "".join(t) + y
     }
-    fast = fast_length_three(x, y)
+    fast = interlaced(y, x, BIN)
     witness = shortest_accepted(avoider_automaton(x, y, BIN))
     segment_ok = witness is not None and (y + "110" + y) in witness
-    ok = short_ok and len(pads_up_to_two) == 7 and failures == {"110"} and not fast and segment_ok
+    fast_ok = not fast.holds and fast.method is Method.LENGTH_THREE
+    ok = short_ok and len(pads_up_to_two) == 7 and failures == {"110"} and fast_ok and segment_ok
     report(
         4,
         ok,
@@ -121,7 +122,8 @@ def test_criterion_05_corollary_equivalence_binary():
         for y in nonempty_words_upto(BIN, 5):
             pairs += 1
             empty = shortest_accepted(avoider_automaton(x, y, BIN)) is None
-            if fast_length_three(x, y) != empty:
+            fast = interlaced(y, x, BIN)
+            if fast.method is not Method.LENGTH_THREE or fast.holds != empty:
                 disagreements += 1
     elapsed = time.perf_counter() - t0
     ok = disagreements == 0 and pairs == 1860 and elapsed < 60.0
@@ -134,11 +136,11 @@ def test_criterion_05_corollary_equivalence_binary():
 
 
 def test_criterion_06_corollary_equivalence_ternary(ternary_sweep):
-    disagreements = sum(
-        1
-        for (x, y), witness in ternary_sweep.items()
-        if fast_single_letter(x, y, TERN) != (witness is None)
-    )
+    disagreements = 0
+    for (x, y), witness in ternary_sweep.items():
+        fast = interlaced(y, x, TERN)
+        if fast.method is not Method.SINGLE_LETTER or fast.holds != (witness is None):
+            disagreements += 1
     report(
         6,
         disagreements == 0,

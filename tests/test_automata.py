@@ -265,6 +265,29 @@ def test_from_json_rejects_malformed_documents():
             from_json(text)
 
 
+def test_from_json_rejects_booleans_and_duplicate_states():
+    import json
+
+    doc = json.loads(serialize(matcher_automaton("01", BIN), "json"))
+    doc["match_mark"] = [2]
+    assert from_json(json.dumps(doc)).match_mark == frozenset({2})
+    broken = [
+        {"state_count": True},
+        {"start": True},
+        {"start": "0"},
+        {"accepting": [True]},
+        {"accepting": [2, 2]},
+        {"accepting": 2},
+        {"match_mark": [False]},
+        {"match_mark": [2, 2]},
+        {"transitions": [[True, "0", 1]] + doc["transitions"][1:]},
+        {"transitions": [[0, "0", True]] + doc["transitions"][1:]},
+    ]
+    for change in broken:
+        with pytest.raises(MalformedJsonError):
+            from_json(json.dumps(dict(doc, **change)))
+
+
 def test_dot_output_shape():
     one_state = Dfa(BIN, ((0, 0),), 0, frozenset({0}))
     dot = serialize(one_state, "dot")

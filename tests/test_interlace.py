@@ -6,8 +6,6 @@ from occlang import (
     avoider_automaton,
     count_occurrences,
     enumerate_bordered,
-    fast_length_three,
-    fast_single_letter,
     in_b_x,
     in_class_a,
     interlaced,
@@ -16,7 +14,6 @@ from occlang import (
 )
 from occlang.errors import (
     AlphabetNotBinaryError,
-    AlphabetTooSmallError,
     EmptyPatternError,
     NotInClassAError,
 )
@@ -72,36 +69,38 @@ def test_fast_single_letter_examples():
     assert "10" in "01" + "0" + "01"
     assert "10" in "01" + "1" + "01"
     assert "10" not in "01" + "2" + "01"
-    assert not fast_single_letter("10", "01", TERN)
+    verdict = interlaced("01", "10", TERN)
+    assert not verdict.holds and verdict.witness == "01201"
+    assert verdict.method is Method.SINGLE_LETTER
 
     # a single letter occurring in y survives any padding
-    assert fast_single_letter("0", "010", TERN)
-
-    with pytest.raises(AlphabetTooSmallError):
-        fast_single_letter("10", "01", BIN)
+    verdict = interlaced("010", "0", TERN)
+    assert verdict.holds and verdict.method is Method.SINGLE_LETTER
 
 
 def test_fast_single_letter_agrees_with_general_method():
     for x in nonempty_words_upto(TERN, 2):
         for y in nonempty_words_upto(TERN, 2):
-            fast = fast_single_letter(x, y, TERN)
+            fast = interlaced(y, x, TERN)
             general = shortest_accepted(avoider_automaton(x, y, TERN)) is None
-            assert fast == general
+            assert fast.method is Method.SINGLE_LETTER
+            assert fast.holds == general
 
 
 def test_fast_length_three_examples():
-    assert not fast_length_three("10100", "01001010")
-    assert fast_length_three("0", "0")
-    with pytest.raises(AlphabetNotBinaryError):
-        fast_length_three("012", "01")
+    verdict = interlaced("01001010", "10100", BIN)
+    assert not verdict.holds and verdict.method is Method.LENGTH_THREE
+    verdict = interlaced("0", "0", BIN)
+    assert verdict.holds and verdict.method is Method.LENGTH_THREE
 
 
 def test_fast_length_three_agrees_with_general_method_smoke():
     for x in nonempty_words_upto(BIN, 3):
         for y in nonempty_words_upto(BIN, 3):
-            fast = fast_length_three(x, y)
+            fast = interlaced(y, x, BIN)
             general = shortest_accepted(avoider_automaton(x, y, BIN)) is None
-            assert fast == general
+            assert fast.method is Method.LENGTH_THREE
+            assert fast.holds == general
 
 
 def test_three_is_optimal_for_the_remark_pair():
@@ -110,7 +109,8 @@ def test_three_is_optimal_for_the_remark_pair():
     for z in enumerate_bordered(y, BIN, 18):
         assert x in z
     # ... yet the padding test of length 3 fails
-    assert not fast_length_three(x, y)
+    verdict = interlaced(y, x, BIN)
+    assert not verdict.holds and verdict.method is Method.LENGTH_THREE
 
 
 def test_in_class_a():
@@ -171,8 +171,7 @@ def test_dispatcher_routes_and_agrees():
             for y in nonempty_words_upto(alphabet, bound):
                 auto = interlaced(x, y, alphabet)
                 general = interlaced(x, y, alphabet, method="general")
-                fast = interlaced(x, y, alphabet, method="fast")
-                assert auto.holds == general.holds == fast.holds
+                assert auto.holds == general.holds
                 assert auto.method is expected_method
                 assert general.method is Method.GENERAL_AUTOMATON
 
@@ -181,7 +180,7 @@ def test_dispatcher_unary_uses_general_method():
     verdict = interlaced("aa", "aaa", UNARY)
     assert verdict.method is Method.GENERAL_AUTOMATON
     assert verdict.holds
-    with pytest.raises(AlphabetTooSmallError):
+    with pytest.raises(ValueError):
         interlaced("aa", "aaa", UNARY, method="fast")
 
 

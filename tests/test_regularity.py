@@ -8,6 +8,7 @@ from occlang import (
     build_comparison_dfa,
     commutes,
     decide_regularity,
+    is_interlaced_by,
     matcher_automaton,
     non_regularity_certificate,
     straddle_count,
@@ -114,6 +115,26 @@ def test_certificate_golden_ternary():
 def test_certificate_rejected_for_regular_pairs():
     with pytest.raises(CriterionHoldsError):
         non_regularity_certificate("01", "10", BIN)
+
+
+def test_padding_decision_matches_the_automaton(binary_grid):
+    """decide_regularity's padding test agrees with automaton emptiness both ways."""
+    ternary = list(nonempty_words_upto(TERN, 3))
+    cases = [(x, y, BIN, o) for (x, y), o in binary_grid.items()]
+    cases += [(x, y, TERN, decide_regularity(x, y, TERN)) for x in ternary for y in ternary]
+    for x, y, alphabet, outcome in cases:
+        x_by_y = is_interlaced_by(x, y, alphabet).holds
+        y_by_x = is_interlaced_by(y, x, alphabet).holds
+        if x_by_y and y_by_x:
+            expected = Direction.BOTH
+        elif x_by_y:
+            expected = Direction.X_INTERLACED_BY_Y
+        elif y_by_x:
+            expected = Direction.Y_INTERLACED_BY_X
+        else:
+            expected = None
+        assert outcome.regular == (expected is not None), (x, y, alphabet)
+        assert outcome.direction is expected, (x, y, alphabet)
 
 
 def test_criterion_is_symmetric(binary_grid):
