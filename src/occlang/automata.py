@@ -205,8 +205,12 @@ def complement(a: Dfa) -> Dfa:
 def minimize(a: Dfa) -> Dfa:
     """Unique minimal complete DFA for L(a), states numbered by BFS in symbol order.
 
-    Moore partition refinement: start from the accepting/rejecting split and
-    refine blocks by successor-block signatures until stable.
+    Hopcroft partition refinement, O(k·n log n) for n reachable states over k
+    symbols: start from the accepting/rejecting split and split every block by
+    the predecessors of a (block, symbol) splitter taken from a worklist.  When
+    a block splits, a pending splitter of it stays pending for both halves;
+    otherwise only the smaller half is queued, so each state lies in O(log n)
+    processed splitters per symbol.
     """
     k = len(a.alphabet)
     trans = a.transitions
@@ -217,20 +221,41 @@ def minimize(a: Dfa) -> Dfa:
             if t not in seen:
                 seen.add(t)
                 reach.append(t)
-    block = {s: 1 if s in a.accepting else 0 for s in reach}
-    nblocks = len(set(block.values()))
-    while True:
-        remap: dict[tuple, int] = {}
-        new = {}
-        for s in reach:
-            row = trans[s]
-            key = (block[s], tuple(block[row[i]] for i in range(k)))
-            b = remap.setdefault(key, len(remap))
-            new[s] = b
-        block = new
-        if len(remap) == nblocks:
-            break
-        nblocks = len(remap)
+    inverse: list[list[list[int]]] = [[[] for _ in trans] for _ in range(k)]
+    for s in reach:
+        for si, t in enumerate(trans[s]):
+            inverse[si][t].append(s)
+    accepting = {s for s in reach if s in a.accepting}
+    members = [part for part in (accepting, seen - accepting) if part]
+    block = [0] * a.state_count
+    for b, part in enumerate(members):
+        for s in part:
+            block[s] = b
+    pending: set[tuple[int, int]] = set()
+    if len(members) == 2:
+        smaller = 0 if len(members[0]) <= len(members[1]) else 1
+        pending = {(smaller, si) for si in range(k)}
+    while pending:
+        b, si = pending.pop()
+        preds = inverse[si]
+        touched: dict[int, list[int]] = {}
+        for t in members[b]:
+            for s in preds[t]:
+                touched.setdefault(block[s], []).append(s)
+        for c, movers in touched.items():
+            if len(movers) == len(members[c]):
+                continue
+            new = len(members)
+            moved = set(movers)
+            members[c] -= moved
+            members.append(moved)
+            for s in movers:
+                block[s] = new
+            for sj in range(k):
+                if (c, sj) in pending or len(moved) <= len(members[c]):
+                    pending.add((new, sj))
+                else:
+                    pending.add((c, sj))
     rep: dict[int, int] = {}
     for s in reach:
         rep.setdefault(block[s], s)

@@ -163,46 +163,62 @@ def bounded_equal_census(
     )
 
 
+# Words a bounded_equivalence sweep may visit: every word up to length 16
+# over two symbols, 10 over three, 131071 over one.
+_SWEEP_BUDGET = 1 << 17
+
+
 def bounded_equivalence(a: Dfa, x: Word, y: Word, rel: Relation, max_length: int) -> Word | None:
     """First word (length-lexicographic) where a's verdict differs from the counter scan.
 
     Returns None when the DFA and the oracle agree on every word of length up
-    to max_length.
+    to max_length.  Raises BudgetExceededError, before sweeping, when there
+    are more than 2^17 such words.
     """
+    if max_length < 0:
+        raise ValueError(f"max_length must be nonnegative, got {max_length}")
     alphabet = a.alphabet
     alphabet.require(x)
     alphabet.require(y)
-    symbols = alphabet.symbols
-    mx = matcher_automaton(x, alphabet, MatcherMode.COUNTING)
-    my = matcher_automaton(y, alphabet, MatcherMode.COUNTING)
-    hit_x, hit_y = len(x), len(y)
-    # a mismatch hides only words extending it, all length-lexicographically
-    # later, so the minimum over the sweep is the global first mismatch
-    mismatches: list[Word] = []
-
-    def sweep(word, sa, sx, sy, cx, cy):
-        if (sa in a.accepting) != rel.holds(cx, cy):
-            mismatches.append(word)
-            return
-        if len(word) == max_length:
-            return
-        for si, sym in enumerate(symbols):
-            na = a.transitions[sa][si]
-            nx = mx.transitions[sx][si]
-            ny = my.transitions[sy][si]
-            sweep(
-                word + sym,
-                na,
-                nx,
-                ny,
-                cx + (1 if nx == hit_x else 0),
-                cy + (1 if ny == hit_y else 0),
+    k = len(alphabet)
+    words, level = 0, 1
+    for _ in range(max_length + 1):
+        words += level
+        if words > _SWEEP_BUDGET:
+            raise BudgetExceededError(
+                f"equivalence sweep to length {max_length} over {k} symbols "
+                f"exceeds the budget of {_SWEEP_BUDGET} words"
             )
-
-    sweep("", a.start, 0, 0, 0, 0)
-    if not mismatches:
+        level *= k
+    accepting, holds = a.accepting, rel.holds
+    if (a.start in accepting) != holds(0, 0):
+        return ""
+    ta = a.transitions
+    tx = matcher_automaton(x, alphabet, MatcherMode.COUNTING).transitions
+    ty = matcher_automaton(y, alphabet, MatcherMode.COUNTING).transitions
+    hit_x, hit_y = len(x), len(y)
+    # Depth-first with an explicit stack, children pushed in reverse symbol
+    # order, so the words of one length are met in lexicographic order.  An
+    # entry is (length, last symbol, DFA/x/y states and x/y counts before that
+    # symbol); path holds the symbol indices of the current word.  A mismatch
+    # hides only words extending it, all length-lexicographically later.
+    path: list[int] = []
+    best: list[int] | None = None
+    stack = [(1, si, a.start, 0, 0, 0, 0) for si in reversed(range(k))] if max_length else []
+    while stack:
+        length, si, sa, sx, sy, cx, cy = stack.pop()
+        path[length - 1 :] = [si]
+        sa, sx, sy = ta[sa][si], tx[sx][si], ty[sy][si]
+        cx += sx == hit_x
+        cy += sy == hit_y
+        if (sa in accepting) != holds(cx, cy):
+            if best is None or length < len(best):
+                best = path.copy()
+        elif length < max_length:
+            stack.extend((length + 1, sj, sa, sx, sy, cx, cy) for sj in reversed(range(k)))
+    if best is None:
         return None
-    return min(mismatches, key=lambda w: (len(w), [alphabet.index(ch) for ch in w]))
+    return "".join(alphabet.symbols[i] for i in best)
 
 
 def enumerate_bordered(y: Word, alphabet: Alphabet, max_length: int) -> list[Word]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -56,12 +57,7 @@ class Alphabet:
 
     def words_of_length(self, length: int) -> Iterator[Word]:
         """All words of the given length, in lexicographic order of the symbol order."""
-        if length == 0:
-            yield ""
-            return
-        for prefix in self.words_of_length(length - 1):
-            for s in self.symbols:
-                yield prefix + s
+        return map("".join, product(self.symbols, repeat=length))
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._index

@@ -82,3 +82,33 @@ def word_from_index(alphabet, length, index):
         out.append(alphabet.symbols[digit])
     # divmod peels least-significant first, which is the last position
     return "".join(reversed(out))
+
+
+def is_minimal(dfa: Dfa) -> bool:
+    """Every state reachable and every pair of states distinguishable.
+
+    Naive pair-table filling, independent of occlang.automata.minimize: a pair
+    is distinguishable when exactly one state accepts, or when some symbol
+    leads it to a distinguishable pair; iterate to the fixed point.
+    """
+    reached = {dfa.start}
+    frontier = [dfa.start]
+    while frontier:
+        frontier = [t for s in frontier for t in dfa.transitions[s] if t not in reached]
+        reached.update(frontier)
+    if len(reached) != dfa.state_count:
+        return False
+    trans = np.array(dfa.transitions, dtype=np.int64)
+    accept = np.zeros(dfa.state_count, dtype=bool)
+    accept[list(dfa.accepting)] = True
+    table = accept[:, None] != accept[None, :]
+    while True:
+        grown = table.copy()
+        for si in range(len(dfa.alphabet)):
+            succ = trans[:, si]
+            grown |= table[np.ix_(succ, succ)]
+        if (grown == table).all():
+            break
+        table = grown
+    off_diagonal = ~np.eye(dfa.state_count, dtype=bool)
+    return bool(table[off_diagonal].all())

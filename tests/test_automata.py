@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,9 +24,12 @@ from occlang import (
     shortest_accepted,
 )
 from occlang.errors import AlphabetMismatchError, EmptyPatternError, ForeignSymbolError, MalformedJsonError
+from occlang.regularity import _tracker_dfa
 
 from helpers import (
     BIN,
+    TERN,
+    is_minimal,
     level_acceptance,
     level_mark_counts,
     nonempty_words_upto,
@@ -202,6 +208,68 @@ def test_minimize_merges_equivalent_states():
     # two redundant copies of an accept-everything state
     bloated = Dfa(BIN, ((1, 2), (2, 1), (1, 2)), 0, frozenset({0, 1, 2}))
     assert minimize(bloated).state_count == 1
+
+
+def _trackers():
+    """Unminimized difference trackers, each for an x interlaced by y."""
+    rng = random.Random(2012)
+    w = "".join(rng.choice("012") for _ in range(30))
+    return [
+        _tracker_dfa("0" * 12, "0" * 11, BIN, Relation.EQ),
+        _tracker_dfa("0" * 9 + "1", "01", BIN, Relation.LE),
+        _tracker_dfa("000100", "1000", BIN, Relation.LT),
+        _tracker_dfa("0" * 8, "0000", TERN, Relation.EQ),
+        _tracker_dfa(w, w[11:14], TERN, Relation.LE),
+    ]
+
+
+def test_minimize_numbering_ignores_state_names():
+    rng = random.Random(1971)
+    for a in _trackers():
+        new_name = list(range(a.state_count))
+        rng.shuffle(new_name)
+        rows = [()] * a.state_count
+        for s, row in enumerate(a.transitions):
+            rows[new_name[s]] = tuple(new_name[t] for t in row)
+        permuted = Dfa(
+            a.alphabet,
+            tuple(rows),
+            new_name[a.start],
+            frozenset(new_name[s] for s in a.accepting),
+        )
+        assert permuted != a
+        assert minimize(permuted) == minimize(a)
+
+
+def test_minimize_ignores_unreachable_states():
+    for a in _trackers():
+        n, k = a.state_count, len(a.alphabet)
+        # an accepting copy of every state and a state leading into a, none reachable
+        rows = a.transitions + tuple(tuple(n + t for t in row) for row in a.transitions)
+        unreachable = frozenset(range(n, 2 * n + 1))
+        padded = Dfa(a.alphabet, rows + ((a.start,) * k,), a.start, a.accepting | unreachable)
+        assert minimize(padded) == minimize(a)
+        only_unreachable = replace(padded, accepting=unreachable)
+        assert minimize(only_unreachable) == Dfa(a.alphabet, ((0,) * k,), 0, frozenset())
+
+
+def test_minimize_single_block():
+    for a in _trackers():
+        loop = ((0,) * len(a.alphabet),)
+        everything = replace(a, accepting=frozenset(range(a.state_count)))
+        assert minimize(everything) == Dfa(a.alphabet, loop, 0, frozenset({0}))
+        assert minimize(replace(a, accepting=frozenset())) == Dfa(a.alphabet, loop, 0, frozenset())
+
+
+def test_minimize_keeps_minimal_dfas():
+    for a in _trackers():
+        small = minimize(a)
+        assert small.state_count < a.state_count
+        assert is_minimal(small)
+        assert minimize(small) == small
+    for rel in Relation:
+        dfa = build_comparison_dfa("000100", "1000", BIN, rel)
+        assert minimize(dfa) == dfa
 
 
 def test_shortest_accepted_examples():

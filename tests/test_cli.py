@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occlang.cli import main
 
@@ -106,6 +111,20 @@ def test_validate_passes(capsys):
     assert any(c["name"] == "witness-bounds" for c in doc["checks"])
 
 
+def test_validate_long_unary_sweep_has_no_recursion_limit(capsys):
+    code, doc, err = run_json(capsys, "validate", "a", "aa", "--alphabet", "a", "--max-len", "5000")
+    assert code == 0 and doc["pass"] is True
+    assert "Traceback" not in err
+
+
+def test_validate_over_budget_is_a_domain_error(capsys):
+    code, doc, _ = run_json(capsys, "validate", "01", "10", "--alphabet", "01", "--max-len", "40")
+    assert code == 1
+    assert doc["error"]["type"] == "BudgetExceededError"
+    code, _, err = run(capsys, "validate", "01", "10", "--alphabet", "01", "--max-len", "40")
+    assert code == 1 and "budget" in err
+
+
 def test_alphabet_is_required(capsys):
     code, _, err = run(capsys, "regular", "01", "10")
     assert code == 1
@@ -157,3 +176,46 @@ def test_alphabet_is_echoed_everywhere(capsys):
     ]:
         _, doc, _ = run_json(capsys, *argv)
         assert doc["alphabet"] == ["0", "1"], argv
+
+
+FUZZ_ALPHABETS = ("a", "01", "012")
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for every command but debruijn, over short words and any --max-len."""
+    command = draw(st.sampled_from(["count", "interlaced", "regular", "witness", "dfa", "validate"]))
+    symbols = draw(st.sampled_from(FUZZ_ALPHABETS))
+    word = st.text(alphabet=symbols, max_size=6)
+    argv = [command, draw(word), draw(word)]
+    if command != "count":
+        argv += draw(
+            st.sampled_from(
+                [["--alphabet", symbols], ["--infer-alphabet"], []]
+                + [["--alphabet", other] for other in FUZZ_ALPHABETS if other != symbols]
+            )
+        )
+    if command == "interlaced":
+        argv += ["--method", draw(st.sampled_from(["auto", "general"]))]
+    if command in ("regular", "dfa"):
+        argv += ["--relation", draw(st.sampled_from(["eq", "ne", "lt", "le", "gt", "ge"]))]
+    if command == "dfa":
+        argv += ["--out", draw(st.sampled_from(["json", "dot"]))]
+    if command == "validate":
+        argv += ["--max-len", str(draw(st.integers(min_value=0, max_value=10**6)))]
+    if command != "dfa" and draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+@given(cli_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    dfa_json = argv[0] == "dfa" and (code == 2 or (code == 0 and "json" in argv))
+    if "--json" in argv or dfa_json:
+        json.loads(out.getvalue())

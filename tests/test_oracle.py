@@ -3,6 +3,7 @@ import pytest
 from occlang import (
     Alphabet,
     Borderedness,
+    Dfa,
     Relation,
     bounded_census,
     bounded_equal_census,
@@ -108,6 +109,36 @@ def test_bounded_equivalence_returns_first_mismatch_in_length_lex_order():
         if ends_one.accepts(w) != counter_membership(w, "01", "10", Relation.EQ)
     )
     assert first == brute
+
+
+def test_bounded_equivalence_has_no_recursion_depth_limit():
+    # one word per length over one symbol: a recursive sweep would need 5000 frames
+    dfa = build_comparison_dfa("a", "aa", UNARY, Relation.EQ)
+    assert bounded_equivalence(dfa, "a", "aa", Relation.EQ, 5000) is None
+    # accepts only a^4999, where |z|_a < |z|_aa fails like everywhere else
+    chain = tuple((min(i + 1, 5000),) for i in range(5001))
+    late = Dfa(UNARY, chain, 0, frozenset({4999}))
+    assert bounded_equivalence(late, "a", "aa", Relation.LT, 5000) == "a" * 4999
+    assert bounded_equivalence(late, "a", "aa", Relation.LT, 4998) is None
+
+
+def test_bounded_equivalence_budget():
+    figure = build_comparison_dfa("01", "10", BIN, Relation.EQ)
+    # 2^17 - 1 words up to length 16 fit the default budget; length 40 does not
+    assert bounded_equivalence(figure, "01", "10", Relation.EQ, 16) is None
+    with pytest.raises(BudgetExceededError):
+        bounded_equivalence(figure, "01", "10", Relation.EQ, 17)
+    with pytest.raises(BudgetExceededError):
+        bounded_equivalence(figure, "01", "10", Relation.EQ, 40)
+    with pytest.raises(BudgetExceededError):
+        bounded_equivalence(figure, "01", "10", Relation.EQ, 10**6)
+    # the budget counts words, so over one symbol the sweep reaches length 2^17 - 1
+    everything = build_comparison_dfa("a", "a", UNARY, Relation.EQ)
+    assert bounded_equivalence(everything, "a", "a", Relation.EQ, 2**17 - 1) is None
+    with pytest.raises(BudgetExceededError):
+        bounded_equivalence(everything, "a", "a", Relation.EQ, 2**17)
+    with pytest.raises(ValueError):
+        bounded_equivalence(figure, "01", "10", Relation.EQ, -1)
 
 
 def test_enumerate_bordered_examples():

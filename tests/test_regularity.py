@@ -7,6 +7,7 @@ from occlang import (
     Relation,
     build_comparison_dfa,
     commutes,
+    complement,
     decide_regularity,
     is_interlaced_by,
     matcher_automaton,
@@ -14,10 +15,12 @@ from occlang import (
     straddle_count,
 )
 from occlang.errors import CriterionHoldsError, EmptyPatternError, NotRegularError
+from occlang.regularity import _tracker_dfa
 
 from helpers import (
     BIN,
     TERN,
+    is_minimal,
     level_acceptance,
     level_mark_counts,
     nonempty_words_upto,
@@ -197,6 +200,33 @@ def test_difference_saturation(binary_grid, binary_counts):
             prev_diff = diff_levels[level - 1]
             sticky = np.repeat(sticky | (prev_diff <= -2), 2)
             assert np.all(diff_levels[level][sticky] < 0)
+
+
+def _unminimized(x, y, alphabet, rel, direction):
+    """The tracker that build_comparison_dfa minimizes, or its complement."""
+    if direction is Direction.Y_INTERLACED_BY_X:
+        x, y, rel = y, x, rel.mirrored()
+    if rel in (Relation.GT, Relation.GE, Relation.NE):
+        return complement(_tracker_dfa(x, y, alphabet, rel.complemented()))
+    return _tracker_dfa(x, y, alphabet, rel)
+
+
+def test_comparison_dfas_are_minimal_and_agree_with_the_tracker(binary_grid):
+    ternary = list(nonempty_words_upto(TERN, 3))
+    cases = [(x, y, BIN, o) for (x, y), o in binary_grid.items()]
+    cases += [(x, y, TERN, decide_regularity(x, y, TERN)) for x in ternary for y in ternary]
+    checked = 0
+    for x, y, alphabet, outcome in cases:
+        if not outcome.regular:
+            continue
+        for rel in Relation:
+            dfa = build_comparison_dfa(x, y, alphabet, rel)
+            assert is_minimal(dfa), (x, y, alphabet, rel)
+            reference = _unminimized(x, y, alphabet, rel, outcome.direction)
+            for got, want in zip(level_acceptance(dfa, 8), level_acceptance(reference, 8)):
+                assert np.array_equal(got, want), (x, y, alphabet, rel)
+            checked += 1
+    assert checked == 6 * sum(o.regular for *_, o in cases)
 
 
 def _assert_certificate_invariants(cert, x, y):

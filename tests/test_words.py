@@ -181,3 +181,12 @@ def test_alphabet_basics():
         Alphabet("aa")
     with pytest.raises(ValueError):
         Alphabet(["ab"])
+
+
+def test_words_of_length_order_and_depth():
+    a = Alphabet("ba")
+    assert list(a.words_of_length(0)) == [""]
+    assert list(a.words_of_length(2)) == ["bb", "ba", "ab", "aa"]
+    assert len(list(Alphabet("012").words_of_length(5))) == 3**5
+    # one word per length over one symbol: no recursion depth proportional to length
+    assert list(Alphabet("a").words_of_length(5000)) == ["a" * 5000]
