@@ -43,6 +43,7 @@ from .interlace import (
     in_class_a,
     interlaced,
     is_interlaced_by,
+    shortest_bordered_avoiding,
 )
 from .regularity import (
     Direction,
@@ -121,5 +122,6 @@ __all__ = [
     "primitive_root",
     "serialize",
     "shortest_accepted",
+    "shortest_bordered_avoiding",
     "straddle_count",
 ]

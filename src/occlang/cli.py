@@ -247,13 +247,14 @@ def _cmd_validate(args) -> int:
     sym = regularity.decide_regularity(y, x, alphabet)
     check("criterion-symmetry", outcome.regular == sym.regular, "regularity is symmetric in x and y")
 
+    general: dict[tuple[str, str], interlace.InterlaceVerdict] = {}
     if len(alphabet) >= 2:
         for a, b in ((x, y), (y, x)):
             fast = interlace.interlaced(a, b, alphabet)
-            general = interlace.is_interlaced_by(a, b, alphabet)
+            general[a, b] = interlace.is_interlaced_by(a, b, alphabet)
             check(
                 f"fast-vs-general-{a}-{b}",
-                fast.holds == general.holds,
+                fast.holds == general[a, b].holds,
                 f"fast path and automaton agree on interlaced({a!r}, {b!r})",
             )
     else:
@@ -282,6 +283,12 @@ def _cmd_validate(args) -> int:
             "certificate-avoidance",
             count_occurrences(cert.r, x) == 0 and count_occurrences(cert.s, y) == 0,
             "r avoids x and s avoids y",
+        )
+        # A non-regular pair has two or more symbols, so both directions are in general.
+        check(
+            "certificate-vs-automaton",
+            cert.r == general[y, x].witness and cert.s == general[x, y].witness,
+            "r and s are the shortest witnesses of the avoider automata",
         )
 
     doc = {
@@ -319,14 +326,11 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _HANDLERS[args.command](args)
-    except OcclangError as err:
+    except (OcclangError, ValueError) as err:
         if getattr(args, "json", False):
             print(json.dumps({"error": {"type": type(err).__name__, "message": str(err)}}, indent=2))
         else:
             print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 1
 
 

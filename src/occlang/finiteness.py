@@ -7,11 +7,17 @@ from typing import Sequence
 
 from .errors import (
     AlphabetTooSmallError,
+    BudgetExceededError,
     DuplicatePatternError,
     EmptyPatternError,
     UnequalLengthsError,
 )
 from .words import Alphabet, Word
+
+
+# Letters a de Bruijn word may have: order 20 over two symbols, 12 over
+# three.  The cap also bounds the recursion depth of the construction.
+_DE_BRUIJN_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -41,13 +47,21 @@ def de_bruijn_word(order: int, alphabet: Alphabet) -> DeBruijnWord:
     """The lexicographically least cyclic de Bruijn word of the given order.
 
     Standard necklace construction: concatenate, in lexicographic order, the
-    Lyndon words over the alphabet whose lengths divide the order.
+    Lyndon words over the alphabet whose lengths divide the order.  Raises
+    BudgetExceededError, before building anything, when the word would have
+    more than 2^20 letters.
     """
     if len(alphabet) < 2:
         raise AlphabetTooSmallError("de Bruijn words need at least two symbols")
     if order < 1:
         raise ValueError("order must be at least 1")
     k = len(alphabet)
+    # k >= 2, so k^21 already exceeds the budget: no huge power is computed.
+    if k ** min(order, 21) > _DE_BRUIJN_BUDGET:
+        raise BudgetExceededError(
+            f"a de Bruijn word of order {order} over {k} symbols "
+            f"exceeds the budget of {_DE_BRUIJN_BUDGET} letters"
+        )
     a = [0] * (k * order)
     out: list[int] = []
 
@@ -73,6 +87,7 @@ def equal_length_family(patterns: Sequence[Word], alphabet: Alphabet, i: int) ->
     For distinct patterns of a common length L, unrolling the cyclic de Bruijn
     word w of order L as w^i plus the length L-1 prefix of w contains every
     length-L word exactly i times, so all patterns have identical counts.
+    The budget of de_bruijn_word applies to w.
     """
     if i < 1:
         raise ValueError("the family index must be at least 1")

@@ -7,7 +7,9 @@ checks emptiness; its shortest accepted word is the canonical witness.  Over
 two or more symbols the paper's corollaries make a constant-length padding
 test exact: y occurs in every x-bordered word iff it occurs in x·t·x for all
 eight binary t of length 3 (no shorter length works for every pair), or,
-over three or more symbols, for every single symbol t.
+over three or more symbols, for every single symbol t.  The same bound finds
+the canonical witness without an automaton: it is one of the few x-bordered
+words of length at most 2|x| plus the padding length.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .automata import (
     combine,
     complement,
     grafted_bordered_automaton,
+    kmp_failure,
     matcher_automaton,
     shortest_accepted,
 )
@@ -77,6 +80,38 @@ def is_interlaced_by(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
     """
     witness = shortest_accepted(avoider_automaton(y, x, alphabet))
     return InterlaceVerdict(holds=witness is None, witness=witness, method=Method.GENERAL_AUTOMATON)
+
+
+def shortest_bordered_avoiding(x: Word, y: Word, alphabet: Alphabet) -> Word | None:
+    """The length-lexicographically smallest x-bordered word avoiding y, or None.
+
+    Equals shortest_accepted(avoider_automaton(y, x, alphabet)) without
+    building it.  If any x-bordered word avoids y, some x·t·x does with |t|
+    the padding length (3 over two symbols, 1 over three or more), so the
+    smallest one is at most 2|x| + 3 letters long.  The x-bordered words that
+    short are, shortest first, the overlaps x[:p] + x for each period p of x
+    (one per border, longest border first) and then x·t·x for |t| = 0, 1, ...
+    in symbol order.  Over one symbol the first candidate, a^(|x|+1), already
+    decides.
+    """
+    if not x or not y:
+        raise EmptyPatternError("bordered words need nonempty pattern and border")
+    alphabet.require(x)
+    alphabet.require(y)
+    fail = kmp_failure(x)
+    border = fail[len(x)]
+    while border:
+        z = x[: len(x) - border] + x
+        if y not in z:
+            return z
+        border = fail[border]
+    pad_length = 3 if len(alphabet) == 2 else 1
+    for length in range(pad_length + 1):
+        for t in product(alphabet.symbols, repeat=length):
+            z = x + "".join(t) + x
+            if y not in z:
+                return z
+    return None
 
 
 def _require_binary(*ws: Word) -> None:

@@ -107,6 +107,8 @@ def _census(
         raise EmptyPatternError("census patterns must be nonempty")
     for p in patterns:
         alphabet.require(p)
+    if max_length < 0:
+        raise ValueError(f"max_length must be nonnegative, got {max_length}")
     cap = budget if budget is not None else _default_budget(alphabet)
     if max_length > cap:
         raise BudgetExceededError(

@@ -19,7 +19,6 @@ from .automata import (
     complement,
     matcher_automaton,
     minimize,
-    shortest_accepted,
 )
 from .errors import (
     CertificateError,
@@ -27,7 +26,7 @@ from .errors import (
     EmptyPatternError,
     NotRegularError,
 )
-from .interlace import avoider_automaton, interlaced
+from .interlace import interlaced, shortest_bordered_avoiding
 from .words import (
     Alphabet,
     BorderDecomposition,
@@ -37,7 +36,6 @@ from .words import (
     count_occurrences,
     decompose_bordered,
     power_count_params,
-    segment,
 )
 
 
@@ -152,10 +150,11 @@ def straddle_count(left: Word, right: Word, pattern: Word) -> int:
     """
     if not pattern:
         raise EmptyPatternError("straddle counting needs a nonempty pattern")
-    w = left + right
-    lo = max(1, len(left) + 2 - len(pattern))
-    hi = min(len(left), len(w) - len(pattern) + 1)
-    return sum(1 for k in range(lo, hi + 1) if segment(w, k, k + len(pattern) - 1) == pattern)
+    # Within k = |pattern|-1 letters of the boundary on each side, no
+    # occurrence fits inside one block, and every straddling one fits there.
+    # The max() keeps the slice empty for k = 0 (left[-0:] is all of left).
+    k = len(pattern) - 1
+    return count_occurrences(left[max(len(left) - k, 0) :] + right[:k], pattern)
 
 
 def decide_regularity(x: Word, y: Word, alphabet: Alphabet) -> RegularityOutcome:
@@ -164,7 +163,9 @@ def decide_regularity(x: Word, y: Word, alphabet: Alphabet) -> RegularityOutcome
     The criterion is the same for every comparison relation: regular iff x is
     interlaced by y or y is interlaced by x.  Each direction is decided by the
     padding test (the general automaton over unary alphabets, where every
-    pair is regular); automata are searched only for the certificate.
+    pair is regular).  A non-regular pair builds no automaton: the
+    certificate's r and s come from a walk over the bordered words up to the
+    padding bound.
     """
     if not x or not y:
         raise EmptyPatternError("regularity needs nonempty patterns")
@@ -185,8 +186,8 @@ def non_regularity_certificate(x: Word, y: Word, alphabet: Alphabet) -> NonRegul
     """Build and verify the certificate for a pair where neither interlacing holds."""
     if not x or not y:
         raise EmptyPatternError("certificates need nonempty patterns")
-    r = shortest_accepted(avoider_automaton(x, y, alphabet))
-    s = shortest_accepted(avoider_automaton(y, x, alphabet))
+    r = shortest_bordered_avoiding(y, x, alphabet)
+    s = shortest_bordered_avoiding(x, y, alphabet)
     if r is None or s is None:
         raise CriterionHoldsError(
             "an interlacing direction holds, so the comparison languages are regular"

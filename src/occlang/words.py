@@ -2,9 +2,7 @@
 
 Words are plain ``str`` values whose characters are symbols of an explicit
 :class:`Alphabet`.  The alphabet fixes the symbol order used everywhere a
-deterministic tie-break is needed (witness search, serialization).  Window
-arithmetic that mirrors the usual 1-based inclusive ``w[i..j]`` convention
-goes through :func:`segment`.
+deterministic tie-break is needed (witness search, serialization).
 """
 
 from __future__ import annotations
@@ -76,11 +74,6 @@ class Alphabet:
 
     def __repr__(self) -> str:
         return "Alphabet({!r})".format("".join(self.symbols))
-
-
-def segment(w: Word, i: int, j: int) -> Word:
-    """The slice w[i..j] with 1-based inclusive endpoints (empty when j < i)."""
-    return w[i - 1 : j]
 
 
 def count_occurrences(w: Word, p: Word) -> int:

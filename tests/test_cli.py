@@ -125,6 +125,39 @@ def test_validate_over_budget_is_a_domain_error(capsys):
     assert code == 1 and "budget" in err
 
 
+@pytest.mark.parametrize(
+    "x, y, symbols",
+    [("01", "10", "012"), ("10100", "01001010", "01"), ("0011", "1100", "01")],
+)
+def test_validate_checks_certificates_against_the_automaton(capsys, x, y, symbols):
+    code, doc, _ = run_json(capsys, "validate", x, y, "--alphabet", symbols, "--max-len", "4")
+    assert code == 0 and doc["pass"] is True
+    assert [c["pass"] for c in doc["checks"] if c["name"] == "certificate-vs-automaton"] == [True]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("regular", "0", "0", "--alphabet", "00"), "distinct"),
+        (("validate", "01", "10", "--alphabet", "01", "--max-len", "-1"), "nonnegative"),
+    ],
+)
+def test_value_errors_are_json_in_json_mode(capsys, argv, message):
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError" and message in doc["error"]["message"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and message in err
+
+
+def test_debruijn_over_budget_is_a_domain_error(capsys):
+    code, doc, _ = run_json(capsys, "debruijn", "5000", "--alphabet", "01")
+    assert code == 1
+    assert doc["error"]["type"] == "BudgetExceededError"
+    code, _, err = run(capsys, "debruijn", "5000", "--alphabet", "01")
+    assert code == 1 and "budget" in err and "Traceback" not in err
+
+
 def test_alphabet_is_required(capsys):
     code, _, err = run(capsys, "regular", "01", "10")
     assert code == 1
@@ -179,20 +212,30 @@ def test_alphabet_is_echoed_everywhere(capsys):
 
 
 FUZZ_ALPHABETS = ("a", "01", "012")
+# Not alphabets at all: a symbol repeats.
+FUZZ_BAD_ALPHABETS = ("00", "011")
 
 
 @st.composite
 def cli_argv(draw):
-    """argv for every command but debruijn, over short words and any --max-len."""
-    command = draw(st.sampled_from(["count", "interlaced", "regular", "witness", "dfa", "validate"]))
+    """argv for every command, over short words, any --max-len and any de Bruijn order."""
+    command = draw(
+        st.sampled_from(
+            ["count", "interlaced", "regular", "witness", "dfa", "validate", "debruijn"]
+        )
+    )
     symbols = draw(st.sampled_from(FUZZ_ALPHABETS))
     word = st.text(alphabet=symbols, max_size=6)
-    argv = [command, draw(word), draw(word)]
+    if command == "debruijn":
+        argv = [command, str(draw(st.integers(min_value=-10, max_value=10**6)))]
+    else:
+        argv = [command, draw(word), draw(word)]
     if command != "count":
         argv += draw(
             st.sampled_from(
                 [["--alphabet", symbols], ["--infer-alphabet"], []]
                 + [["--alphabet", other] for other in FUZZ_ALPHABETS if other != symbols]
+                + [["--alphabet", bad] for bad in FUZZ_BAD_ALPHABETS]
             )
         )
     if command == "interlaced":
@@ -202,7 +245,7 @@ def cli_argv(draw):
     if command == "dfa":
         argv += ["--out", draw(st.sampled_from(["json", "dot"]))]
     if command == "validate":
-        argv += ["--max-len", str(draw(st.integers(min_value=0, max_value=10**6)))]
+        argv += ["--max-len", str(draw(st.integers(min_value=-10, max_value=10**6)))]
     if command != "dfa" and draw(st.booleans()):
         argv.append("--json")
     return argv

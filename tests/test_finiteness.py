@@ -14,6 +14,7 @@ from occlang import (
 )
 from occlang.errors import (
     AlphabetTooSmallError,
+    BudgetExceededError,
     DuplicatePatternError,
     EmptyPatternError,
     UnequalLengthsError,
@@ -90,6 +91,13 @@ def test_de_bruijn_needs_two_symbols():
         de_bruijn_word(2, UNARY)
     with pytest.raises(ValueError):
         de_bruijn_word(0, BIN)
+
+
+def test_de_bruijn_budget():
+    assert len(de_bruijn_word(20, BIN).word) == 2**20
+    for order, alphabet in [(21, BIN), (13, TERN), (5000, BIN), (10**6, TERN)]:
+        with pytest.raises(BudgetExceededError):
+            de_bruijn_word(order, alphabet)
 
 
 def test_equal_length_family_examples():

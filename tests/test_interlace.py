@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from occlang import (
@@ -11,6 +13,7 @@ from occlang import (
     interlaced,
     is_interlaced_by,
     shortest_accepted,
+    shortest_bordered_avoiding,
 )
 from occlang.errors import (
     AlphabetNotBinaryError,
@@ -216,3 +219,53 @@ def test_counting_inequality_when_interlaced():
     for x, y in pairs:
         for t in nonempty_words_upto(BIN, 8):
             assert count_occurrences(t, y) >= count_occurrences(t, x) - 1
+
+
+def _walk_matches_the_automaton(x, y, alphabet):
+    expected = shortest_accepted(avoider_automaton(y, x, alphabet))
+    assert shortest_bordered_avoiding(x, y, alphabet) == expected, (x, y, alphabet.symbols)
+    return expected
+
+
+def test_bordered_walk_matches_the_automaton_exhaustively():
+    found = 0
+    for alphabet, bound in [(BIN, 5), (TERN, 3), (Alphabet("ab"), 4), (UNARY, 5)]:
+        words = list(nonempty_words_upto(alphabet, bound))
+        for x in words:
+            for y in words:
+                found += _walk_matches_the_automaton(x, y, alphabet) is not None
+    assert found  # both outcomes occur
+
+
+def test_bordered_walk_matches_the_automaton_on_periodic_pairs():
+    rng = random.Random(5)
+    for n in range(1, 31):
+        for m in (n - 1, n + 1):
+            if m:
+                for alphabet in (BIN, TERN):
+                    _walk_matches_the_automaton("0" * n, "0" * m, alphabet)
+                    _walk_matches_the_automaton("0" * m, "0" * n, alphabet)
+        _walk_matches_the_automaton(("01" * n)[:n], ("01" * 30)[: rng.randint(1, 30)], BIN)
+    for _ in range(300):
+        alphabet = rng.choice([BIN, TERN])
+        base = "".join(rng.choice(alphabet.symbols) for _ in range(rng.randint(1, 4)))
+        x = (base * 30)[: rng.randint(1, 30)]
+        y = (base * 30)[: rng.randint(1, 30)]
+        if rng.random() < 0.5:
+            y = y[:-1] + rng.choice(alphabet.symbols)
+        _walk_matches_the_automaton(x, y, alphabet)
+
+
+def test_bordered_walk_examples():
+    assert shortest_bordered_avoiding("01", "10", TERN) == "01201"
+    assert shortest_bordered_avoiding("01", "10", BIN) is None
+    assert shortest_bordered_avoiding("1000", "000100", BIN) == "100011000"
+    # the remark pair: no y-bordered word shorter than 2|y| + 3 avoids x
+    assert _walk_matches_the_automaton("01001010", "10100", BIN) == "0100101011001001010"
+    for x, y in [("01010010", "00101"), ("10101101", "11010"), ("10110101", "01011")]:
+        assert len(_walk_matches_the_automaton(x, y, BIN)) == 2 * len(x) + 3
+    # the overlap 0^(n+1) comes first; over one symbol it alone decides
+    assert shortest_bordered_avoiding("000", "00000", BIN) == "0000"
+    assert shortest_bordered_avoiding("aaa", "aaaa", UNARY) is None
+    with pytest.raises(EmptyPatternError):
+        shortest_bordered_avoiding("", "0", BIN)

@@ -67,6 +67,13 @@ def test_bounded_census_budget():
         bounded_equal_census(["0", "1"], BIN, 4, budget=3)
 
 
+def test_census_rejects_negative_lengths():
+    with pytest.raises(ValueError):
+        bounded_census("0", "1", BIN, Relation.EQ, -1)
+    with pytest.raises(ValueError):
+        bounded_equal_census(["0", "1"], BIN, -1)
+
+
 def test_bounded_census_is_deterministic():
     a = bounded_census("01", "10", BIN, Relation.LE, 8)
     b = bounded_census("01", "10", BIN, Relation.LE, 8)

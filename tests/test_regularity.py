@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,30 @@ def test_straddle_count_excludes_within_block_occurrences():
     assert straddle_count("1", "0001", "0001") == 0
     # starting in the left block and reaching into the right does
     assert straddle_count("10", "010", "001") == 1
+
+
+def _straddle_by_definition(left, right, pattern):
+    # 1-based starts k with |left|+2-|pattern| <= k <= |left| whose occurrence fits
+    w = left + right
+    lo = max(1, len(left) + 2 - len(pattern))
+    hi = min(len(left), len(w) - len(pattern) + 1)
+    return sum(1 for k in range(lo, hi + 1) if w[k - 1 : k - 1 + len(pattern)] == pattern)
+
+
+def test_straddle_count_matches_its_definition():
+    rng = random.Random(11)
+    # empty sides and sides shorter than |pattern| - 1, then seeded short words
+    cases = [("", "000", "00"), ("000", "", "00"), ("0", "00", "0000"), ("01", "1", "0110"),
+             ("", "", "0"), ("0", "0", "0")]
+    for _ in range(3000):
+        symbols = rng.choice(["0", "01", "012"])
+        cases.append(tuple(
+            "".join(rng.choice(symbols) for _ in range(rng.randint(lo, hi)))
+            for lo, hi in ((0, 8), (0, 8), (1, 6))
+        ))
+    for left, right, pattern in cases:
+        expected = _straddle_by_definition(left, right, pattern)
+        assert straddle_count(left, right, pattern) == expected, (left, right, pattern)
 
 
 def test_decide_regularity_verdict_triple():

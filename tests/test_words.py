@@ -18,7 +18,7 @@ from occlang.errors import (
     InconsistentDecompositionError,
     NotBorderedError,
 )
-from occlang.words import Alphabet, segment
+from occlang.words import Alphabet
 
 from helpers import BIN, nonempty_words_upto, scan_count, words_upto
 
@@ -164,12 +164,6 @@ def test_primitive_root_reconstructs(w, reps):
     root, k = primitive_root(w * reps)
     assert root * k == w * reps
     assert primitive_root(root) == (root, 1)
-
-
-def test_segment_is_one_based_inclusive():
-    assert segment("abcdef", 2, 4) == "bcd"
-    assert segment("abcdef", 1, 6) == "abcdef"
-    assert segment("abcdef", 4, 3) == ""
 
 
 def test_alphabet_basics():
