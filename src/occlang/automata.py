@@ -7,8 +7,7 @@ from __future__ import annotations
 import enum
 import json
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     AlphabetMismatchError,
@@ -19,37 +18,49 @@ from .errors import (
 from .words import Alphabet, Word
 
 
-@dataclass(frozen=True)
-class Dfa:
-    """Complete deterministic automaton.
-
-    transitions[state][symbol_index] gives the successor state; every state
-    has a transition for every symbol.  match_mark optionally flags the states
-    where a full pattern occurrence has just ended (used for occurrence
-    counting, independent of acceptance).  Instances are immutable and safe to
-    share between threads.
-    """
-
+class _DfaFields(NamedTuple):
     alphabet: Alphabet
     transitions: tuple[tuple[int, ...], ...]
     start: int
     accepting: frozenset[int]
     match_mark: frozenset[int] | None = None
 
-    def __post_init__(self):
-        n = len(self.transitions)
-        k = len(self.alphabet)
+
+def _out_of_range(states, n: int) -> bool:
+    return bool(states) and (min(states) < 0 or max(states) >= n)
+
+
+class Dfa(_DfaFields):
+    """Complete deterministic automaton.
+
+    transitions[state][symbol_index] gives the successor state; every state
+    has a transition for every symbol.  match_mark optionally flags the states
+    where a full pattern occurrence has just ended (used for occurrence
+    counting, independent of acceptance).  Instances are immutable and safe to
+    share between threads; construction and _replace validate the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alphabet, transitions, start, accepting, match_mark=None):
+        n = len(transitions)
         if n < 1:
             raise ValueError("a DFA needs at least one state")
-        for row in self.transitions:
-            if len(row) != k or any(not (0 <= t < n) for t in row):
-                raise ValueError("transition table is not total over the state set")
-        if not 0 <= self.start < n:
+        if set(map(len, transitions)) != {len(alphabet)} or _out_of_range(
+            set().union(*transitions), n
+        ):
+            raise ValueError("transition table is not total over the state set")
+        if not 0 <= start < n:
             raise ValueError("start state out of range")
-        if not all(0 <= s < n for s in self.accepting):
+        if _out_of_range(accepting, n):
             raise ValueError("accepting state out of range")
-        if self.match_mark is not None and not all(0 <= s < n for s in self.match_mark):
+        if match_mark is not None and _out_of_range(match_mark, n):
             raise ValueError("match mark state out of range")
+        return super().__new__(cls, alphabet, transitions, start, accepting, match_mark)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def state_count(self) -> int:
@@ -199,7 +210,8 @@ def combine(a: Dfa, b: Dfa, op: BoolOp) -> Dfa:
 
 def complement(a: Dfa) -> Dfa:
     """Invert the accepting set; the DFA is complete, so this is exact."""
-    return replace(a, accepting=frozenset(range(a.state_count)) - a.accepting)
+    inverted = frozenset(range(a.state_count)) - a.accepting
+    return Dfa(a.alphabet, a.transitions, a.start, inverted, a.match_mark)
 
 
 def minimize(a: Dfa) -> Dfa:

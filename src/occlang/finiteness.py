@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     AlphabetTooSmallError,
@@ -20,8 +19,7 @@ from .words import Alphabet, Word
 _DE_BRUIJN_BUDGET = 1 << 20
 
 
-@dataclass(frozen=True)
-class DeBruijnWord:
+class DeBruijnWord(NamedTuple):
     """Cyclic de Bruijn word: every length-`order` word occurs exactly once cyclically."""
 
     word: Word

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .automata import (
     BoolOp,
@@ -44,8 +44,7 @@ class Method(enum.Enum):
     LENGTH_THREE = "length-three"
 
 
-@dataclass(frozen=True)
-class InterlaceVerdict:
+class InterlaceVerdict(NamedTuple):
     """Outcome of an interlacing decision.
 
     When holds is False, witness is a bordered word avoiding the pattern (for

@@ -8,9 +8,8 @@ explicit; exceeding one raises instead of truncating silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .automata import Dfa, MatcherMode, matcher_automaton
 from .errors import BudgetExceededError, EmptyPatternError
@@ -18,8 +17,7 @@ from .regularity import Relation
 from .words import Alphabet, Word, border_lengths
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Membership counts of a language restricted to words up to max_length."""
 
     max_length: int
@@ -223,18 +221,36 @@ def bounded_equivalence(a: Dfa, x: Word, y: Word, rel: Relation, max_length: int
     return "".join(alphabet.symbols[i] for i in best)
 
 
+# Letters, summed over its words, that an enumerate_bordered call may build:
+# about 4 MB of text.  A word count alone would not bound memory, since over
+# one symbol the words grow as long as max_length.
+_BORDERED_BUDGET = 1 << 22
+
+
 def enumerate_bordered(y: Word, alphabet: Alphabet, max_length: int) -> list[Word]:
     """All y-bordered words of length <= max_length, in length-lexicographic order.
 
     Overlapping-border lengths L with |y| < L < 2|y| admit exactly one word,
     and only when 2|y| - L is a border length of y; longer words are y,
-    filler, y for every filler.
+    filler, y for every filler.  Raises BudgetExceededError, before building
+    anything, when those words have more than 2^22 letters in total.
     """
     if not y:
         raise EmptyPatternError("border must be nonempty")
     alphabet.require(y)
     m = len(y)
+    k = len(alphabet)
     borders = set(border_lengths(y))
+    letters = sum(2 * m - b for b in borders if 2 * m - b <= max_length)
+    level = 1
+    for length in range(2 * m, max_length + 1):
+        letters += level * length
+        if letters > _BORDERED_BUDGET:
+            raise BudgetExceededError(
+                f"{y!r}-bordered words up to length {max_length} over {k} symbols "
+                f"exceed the budget of {_BORDERED_BUDGET} letters"
+            )
+        level *= k
     out: list[Word] = []
     for length in range(m + 1, max_length + 1):
         if length < 2 * m:

@@ -11,7 +11,7 @@ occurrence arithmetic a pumping argument consumes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automata import (
     Dfa,
@@ -91,8 +91,7 @@ class Direction(enum.Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class NonRegularityCertificate:
+class NonRegularityCertificate(NamedTuple):
     """Witness data from which non-regularity follows by pumping.
 
     r is a y-bordered word avoiding x, s an x-bordered word avoiding y, both
@@ -133,8 +132,7 @@ class NonRegularityCertificate:
         }
 
 
-@dataclass(frozen=True)
-class RegularityOutcome:
+class RegularityOutcome(NamedTuple):
     regular: bool
     direction: Direction | None
     certificate: NonRegularityCertificate | None

@@ -8,9 +8,8 @@ deterministic tie-break is needed (witness search, serialization).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     AlphabetTooSmallError,
@@ -48,10 +47,13 @@ class Alphabet:
             raise ForeignSymbolError(f"symbol {symbol!r} is not in alphabet {self}") from None
 
     def require(self, word: Word) -> None:
-        """Raise ForeignSymbolError unless every letter of word is in the alphabet."""
-        for ch in word:
-            if ch not in self._index:
-                raise ForeignSymbolError(f"symbol {ch!r} of {word!r} is not in alphabet {self}")
+        """Raise ForeignSymbolError unless every letter of word is in the alphabet.
+
+        The error names the first foreign symbol in word order.
+        """
+        if set(word).difference(self._index):
+            ch = next(ch for ch in word if ch not in self._index)
+            raise ForeignSymbolError(f"symbol {ch!r} of {word!r} is not in alphabet {self}")
 
     def words_of_length(self, length: int) -> Iterator[Word]:
         """All words of the given length, in lexicographic order of the symbol order."""
@@ -116,8 +118,7 @@ def classify_bordered(z: Word, y: Word) -> Borderedness:
     return Borderedness.OVERLAPPING
 
 
-@dataclass(frozen=True)
-class BorderDecomposition:
+class BorderDecomposition(NamedTuple):
     """Periodic decomposition of a bordered word: border = (uv)^e u, word = (uv)^{e+1} u."""
 
     u: Word
@@ -134,8 +135,7 @@ class BorderDecomposition:
         return (self.u + self.v) * (self.e + 1) + self.u
 
 
-@dataclass(frozen=True)
-class PowerCountParams:
+class PowerCountParams(NamedTuple):
     """Occurrence growth of a border inside rising powers of its period word.
 
     c counts the border in (uv)^{e+1}; d is the increase from (uv)^{e+1} to

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,16 +248,17 @@ def test_minimize_ignores_unreachable_states():
         unreachable = frozenset(range(n, 2 * n + 1))
         padded = Dfa(a.alphabet, rows + ((a.start,) * k,), a.start, a.accepting | unreachable)
         assert minimize(padded) == minimize(a)
-        only_unreachable = replace(padded, accepting=unreachable)
+        only_unreachable = Dfa(a.alphabet, padded.transitions, a.start, unreachable)
         assert minimize(only_unreachable) == Dfa(a.alphabet, ((0,) * k,), 0, frozenset())
 
 
 def test_minimize_single_block():
     for a in _trackers():
         loop = ((0,) * len(a.alphabet),)
-        everything = replace(a, accepting=frozenset(range(a.state_count)))
+        everything = Dfa(a.alphabet, a.transitions, a.start, frozenset(range(a.state_count)))
         assert minimize(everything) == Dfa(a.alphabet, loop, 0, frozenset({0}))
-        assert minimize(replace(a, accepting=frozenset())) == Dfa(a.alphabet, loop, 0, frozenset())
+        nothing = Dfa(a.alphabet, a.transitions, a.start, frozenset())
+        assert minimize(nothing) == Dfa(a.alphabet, loop, 0, frozenset())
 
 
 def test_minimize_keeps_minimal_dfas():

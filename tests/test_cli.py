@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -262,3 +266,22 @@ def test_cli_fuzz_exits_cleanly(argv):
     dfa_json = argv[0] == "dfa" and (code == 2 or (code == 0 and "json" in argv))
     if "--json" in argv or dfa_json:
         json.loads(out.getvalue())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # In a fresh interpreter, dataclasses pulls in inspect and with it ast,
+    # dis and tokenize, about 15 ms of every cold `occlang` process.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import occlang.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(run.stdout.split())
+    assert "occlang.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

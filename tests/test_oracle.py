@@ -156,6 +156,23 @@ def test_enumerate_bordered_examples():
         enumerate_bordered("", BIN, 4)
 
 
+def test_enumerate_bordered_budget(monkeypatch):
+    # every 0-bordered binary word up to length 18 fits: 2^17 - 1 words, 2228224 letters
+    assert len(enumerate_bordered("0", BIN, 18)) == 2**17 - 1
+
+    def never(self, length):
+        raise AssertionError("words were built past the budget")
+
+    monkeypatch.setattr(Alphabet, "words_of_length", never)
+    # length 19 adds 19 * 2^17 letters; length 60 would mean about 2^59 words
+    for y, alphabet, max_length in (("0", BIN, 19), ("0", BIN, 60), ("a", UNARY, 10**9)):
+        with pytest.raises(BudgetExceededError):
+            enumerate_bordered(y, alphabet, max_length)
+    # over one symbol the words grow with max_length, so the budget counts letters
+    with pytest.raises(BudgetExceededError):
+        enumerate_bordered("a", UNARY, 2897)
+
+
 def test_enumerate_bordered_matches_classification():
     for y in nonempty_words_upto(BIN, 4):
         expected = [

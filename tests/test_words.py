@@ -15,6 +15,7 @@ from occlang import (
 from occlang.errors import (
     EmptyPatternError,
     EmptyWordError,
+    ForeignSymbolError,
     InconsistentDecompositionError,
     NotBorderedError,
 )
@@ -184,3 +185,11 @@ def test_words_of_length_order_and_depth():
     assert len(list(Alphabet("012").words_of_length(5))) == 3**5
     # one word per length over one symbol: no recursion depth proportional to length
     assert list(Alphabet("a").words_of_length(5000)) == ["a" * 5000]
+
+
+def test_require_names_the_first_foreign_symbol_in_word_order():
+    BIN.require("0110")
+    BIN.require("")
+    with pytest.raises(ForeignSymbolError) as err:
+        BIN.require("0z1a")
+    assert str(err.value) == "symbol 'z' of '0z1a' is not in alphabet Alphabet('01')"
