@@ -23,7 +23,6 @@ from .words import (
     primitive_root,
 )
 from .automata import (
-    BoolOp,
     Dfa,
     MatcherMode,
     combine,
@@ -43,7 +42,6 @@ from .interlace import (
     in_class_a,
     interlaced,
     is_interlaced_by,
-    shortest_bordered_avoiding,
 )
 from .regularity import (
     Direction,
@@ -75,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "BoolOp",
     "BorderDecomposition",
     "Borderedness",
     "CensusReport",
@@ -122,6 +119,5 @@ __all__ = [
     "primitive_root",
     "serialize",
     "shortest_accepted",
-    "shortest_bordered_avoiding",
     "straddle_count",
 ]

@@ -1,5 +1,5 @@
 """Complete DFAs over explicit alphabets: pattern matchers, bordered-word
-recognizers, boolean products, minimization, emptiness with shortest witness,
+recognizers, intersection products, minimization, emptiness with shortest witness,
 and DOT/JSON serialization."""
 
 from __future__ import annotations
@@ -95,11 +95,6 @@ class MatcherMode(enum.Enum):
     SUFFIX_ONLY = "suffix-only"
 
 
-class BoolOp(enum.Enum):
-    AND = "and"
-    AND_NOT = "and-not"
-
-
 def kmp_failure(p: Word) -> list[int]:
     """fail[i] = length of the longest proper border of p[:i] (fail[0] = 0)."""
     fail = [0] * (len(p) + 1)
@@ -171,8 +166,11 @@ def grafted_bordered_automaton(y: Word, alphabet: Alphabet) -> Dfa:
     return Dfa(alphabet, tuple(rows), 0, frozenset({base + m}))
 
 
-def combine(a: Dfa, b: Dfa, op: BoolOp) -> Dfa:
-    """Product automaton over the reachable state pairs, accepting per op."""
+def combine(a: Dfa, b: Dfa) -> Dfa:
+    """Intersection: the product automaton over the reachable state pairs.
+
+    For a difference, combine a with complement(b).
+    """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError(f"cannot combine DFAs over {a.alphabet} and {b.alphabet}")
     k = len(a.alphabet)
@@ -197,14 +195,9 @@ def combine(a: Dfa, b: Dfa, op: BoolOp) -> Dfa:
                 pairs.append((na, nbb))
             row.append(t)
         rows.append(tuple(row))
-    if op is BoolOp.AND:
-        acc = frozenset(
-            i for i, (sa, sb) in enumerate(pairs) if sa in a.accepting and sb in b.accepting
-        )
-    else:
-        acc = frozenset(
-            i for i, (sa, sb) in enumerate(pairs) if sa in a.accepting and sb not in b.accepting
-        )
+    acc = frozenset(
+        i for i, (sa, sb) in enumerate(pairs) if sa in a.accepting and sb in b.accepting
+    )
     return Dfa(a.alphabet, tuple(rows), 0, acc)
 
 
@@ -366,7 +359,10 @@ def from_json(text: str) -> Dfa:
     if not isinstance(doc, dict):
         raise MalformedJsonError("top-level JSON value must be an object")
     try:
-        alphabet = Alphabet(doc["alphabet"])
+        symbols = doc["alphabet"]
+        if not isinstance(symbols, list):
+            raise MalformedJsonError("alphabet must be a list of symbols")
+        alphabet = Alphabet(symbols)
         n = doc["state_count"]
         start = doc["start"]
         accepting = _state_set(doc["accepting"], "accepting")
@@ -379,16 +375,17 @@ def from_json(text: str) -> Dfa:
     if not _is_int(start):
         raise MalformedJsonError("start must be an integer state")
     k = len(alphabet)
-    table: list[list[int | None]] = [[None] * k for _ in range(n)]
+    # checked before the table is allocated, so state_count cannot size it alone
     if not isinstance(triples, list) or len(triples) != n * k:
         raise MalformedJsonError("transitions must list every (state, symbol) pair exactly once")
+    table: list[list[int | None]] = [[None] * k for _ in range(n)]
     for item in triples:
         if not (isinstance(item, list) and len(item) == 3):
             raise MalformedJsonError(f"bad transition entry: {item!r}")
         src, sym, dst = item
         if not (_is_int(src) and 0 <= src < n and _is_int(dst) and 0 <= dst < n):
             raise MalformedJsonError(f"transition state out of range: {item!r}")
-        if sym not in alphabet:
+        if not isinstance(sym, str) or sym not in alphabet:
             raise MalformedJsonError(f"transition symbol {sym!r} not in alphabet")
         si = alphabet.index(sym)
         if table[src][si] is not None:

@@ -132,7 +132,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_interlaced(args) -> int:
     alphabet = _resolve_alphabet(args, args.x, args.y)
-    verdict = interlace.interlaced(args.x, args.y, alphabet, method=args.method)
+    decide = interlace.is_interlaced_by if args.method == "general" else interlace.interlaced
+    verdict = decide(args.x, args.y, alphabet)
     doc = {
         "command": "interlaced",
         "x": args.x,
@@ -192,7 +193,7 @@ def _cmd_dfa(args) -> int:
 
 def _cmd_witness(args) -> int:
     alphabet = _resolve_alphabet(args, args.x, args.y)
-    verdict = interlace.is_interlaced_by(args.x, args.y, alphabet)
+    verdict = interlace.interlaced(args.x, args.y, alphabet)
     doc = {
         "command": "witness",
         "x": args.x,
@@ -248,17 +249,14 @@ def _cmd_validate(args) -> int:
     check("criterion-symmetry", outcome.regular == sym.regular, "regularity is symmetric in x and y")
 
     general: dict[tuple[str, str], interlace.InterlaceVerdict] = {}
-    if len(alphabet) >= 2:
-        for a, b in ((x, y), (y, x)):
-            fast = interlace.interlaced(a, b, alphabet)
-            general[a, b] = interlace.is_interlaced_by(a, b, alphabet)
-            check(
-                f"fast-vs-general-{a}-{b}",
-                fast.holds == general[a, b].holds,
-                f"fast path and automaton agree on interlaced({a!r}, {b!r})",
-            )
-    else:
-        check("fast-vs-general", True, "skipped: unary alphabet has no fast path")
+    for a, b in ((x, y), (y, x)):
+        fast = interlace.interlaced(a, b, alphabet)
+        slow = general[a, b] = interlace.is_interlaced_by(a, b, alphabet)
+        check(
+            f"fast-vs-general-{a}-{b}",
+            (fast.holds, fast.witness) == (slow.holds, slow.witness),
+            f"fast path and automaton agree on interlaced({a!r}, {b!r}) and its witness",
+        )
 
     if outcome.regular:
         for rel in (regularity.Relation.EQ, regularity.Relation.LT, regularity.Relation.LE):
@@ -284,7 +282,6 @@ def _cmd_validate(args) -> int:
             count_occurrences(cert.r, x) == 0 and count_occurrences(cert.s, y) == 0,
             "r avoids x and s avoids y",
         )
-        # A non-regular pair has two or more symbols, so both directions are in general.
         check(
             "certificate-vs-automaton",
             cert.r == general[y, x].witness and cert.s == general[x, y].witness,

@@ -1,26 +1,25 @@
 """Interlacing tests: is a pattern a subword of every bordered extension of a word?
 
 ``x is interlaced by y`` means y occurs in every x-bordered word, and every
-function here takes its arguments in that one orientation.  The general
+function here takes its arguments in that one orientation.  The reference
 method intersects the bordered-word recognizer with a pattern avoider and
-checks emptiness; its shortest accepted word is the canonical witness.  Over
-two or more symbols the paper's corollaries make a constant-length padding
-test exact: y occurs in every x-bordered word iff it occurs in x·t·x for all
-eight binary t of length 3 (no shorter length works for every pair), or,
-over three or more symbols, for every single symbol t.  The same bound finds
-the canonical witness without an automaton: it is one of the few x-bordered
-words of length at most 2|x| plus the padding length.
+checks emptiness; its shortest accepted word is the canonical witness.  The
+decision builds no automaton.  Over two or more symbols the paper's
+corollaries make a constant-length padding test exact: y occurs in every
+x-bordered word iff it occurs in x·t·x for all eight binary t of length 3 (no
+shorter length works for every pair), or, over three or more symbols, for
+every single symbol t.  The same bound finds the canonical witness: it is one
+of the few x-bordered words of length at most 2|x| plus the padding length.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from itertools import product
-from typing import NamedTuple
+from itertools import chain, product
+from typing import Iterable, Iterator, NamedTuple
 
 from .automata import (
-    BoolOp,
     Dfa,
     MatcherMode,
     combine,
@@ -47,9 +46,9 @@ class Method(enum.Enum):
 class InterlaceVerdict(NamedTuple):
     """Outcome of an interlacing decision.
 
-    When holds is False, witness is a bordered word avoiding the pattern (for
-    the queried orientation); its length is always below
-    (|pattern|+1) * (2*|border|+3).
+    When x is not interlaced by y (holds is False), witness is the
+    length-lexicographically smallest x-bordered word avoiding y; it has at
+    most 2|x|+3 letters.
     """
 
     holds: bool
@@ -68,7 +67,7 @@ def avoider_automaton(x: Word, y: Word, alphabet: Alphabet) -> Dfa:
         raise EmptyPatternError("avoider needs nonempty pattern and border")
     bordered = grafted_bordered_automaton(y, alphabet)
     containing = matcher_automaton(x, alphabet, MatcherMode.ABSORBING_SUBWORD)
-    return combine(bordered, complement(containing), BoolOp.AND)
+    return combine(bordered, complement(containing))
 
 
 def is_interlaced_by(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
@@ -77,40 +76,10 @@ def is_interlaced_by(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
     Reference method: emptiness of the automaton for x-bordered words avoiding
     y, with the length-lexicographically smallest counterexample as witness.
     """
+    if not x or not y:
+        raise EmptyPatternError("interlacing needs nonempty words")
     witness = shortest_accepted(avoider_automaton(y, x, alphabet))
     return InterlaceVerdict(holds=witness is None, witness=witness, method=Method.GENERAL_AUTOMATON)
-
-
-def shortest_bordered_avoiding(x: Word, y: Word, alphabet: Alphabet) -> Word | None:
-    """The length-lexicographically smallest x-bordered word avoiding y, or None.
-
-    Equals shortest_accepted(avoider_automaton(y, x, alphabet)) without
-    building it.  If any x-bordered word avoids y, some x·t·x does with |t|
-    the padding length (3 over two symbols, 1 over three or more), so the
-    smallest one is at most 2|x| + 3 letters long.  The x-bordered words that
-    short are, shortest first, the overlaps x[:p] + x for each period p of x
-    (one per border, longest border first) and then x·t·x for |t| = 0, 1, ...
-    in symbol order.  Over one symbol the first candidate, a^(|x|+1), already
-    decides.
-    """
-    if not x or not y:
-        raise EmptyPatternError("bordered words need nonempty pattern and border")
-    alphabet.require(x)
-    alphabet.require(y)
-    fail = kmp_failure(x)
-    border = fail[len(x)]
-    while border:
-        z = x[: len(x) - border] + x
-        if y not in z:
-            return z
-        border = fail[border]
-    pad_length = 3 if len(alphabet) == 2 else 1
-    for length in range(pad_length + 1):
-        for t in product(alphabet.symbols, repeat=length):
-            z = x + "".join(t) + x
-            if y not in z:
-                return z
-    return None
 
 
 def _require_binary(*ws: Word) -> None:
@@ -153,29 +122,46 @@ def in_b_x(y: Word, x: Word) -> bool:
     return re.fullmatch(pat, y) is not None
 
 
-def interlaced(x: Word, y: Word, alphabet: Alphabet, method: str = "auto") -> InterlaceVerdict:
-    """Decide whether x is interlaced by y, dispatching to the cheapest sound method.
+def _overlaps(x: Word) -> Iterator[Word]:
+    """x[:p] + x for each period p < |x| of x, shortest (longest border) first."""
+    fail = kmp_failure(x)
+    border = fail[len(x)]
+    while border:
+        yield x[: len(x) - border] + x
+        border = fail[border]
 
-    auto picks the length-three padding test over two-symbol alphabets, the
-    single-letter test over three or more symbols, and the general automaton
-    over unary alphabets.  Padding counterexamples are the bordered words
-    x·t·x themselves, not necessarily the shortest witnesses; use
-    method="general" for canonical shortest witnesses.
+
+def _padded(x: Word, symbols: tuple[str, ...], lengths: Iterable[int]) -> Iterator[Word]:
+    """x·t·x for every padding t with |t| in lengths, shortest first, in symbol order."""
+    for length in lengths:
+        for t in product(symbols, repeat=length):
+            yield x + "".join(t) + x
+
+
+def interlaced(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
+    """Decide whether x is interlaced by y, with the canonical witness if not.
+
+    Equals is_interlaced_by without building an automaton.  If any x-bordered
+    word avoids y, some x·t·x does with |t| the padding length (3 over two
+    symbols, 1 otherwise), so over two or more symbols testing those paddings
+    decides, and the smallest witness is at most 2|x| + 3 letters long.  The
+    x-bordered words that short are, shortest first, the overlaps x[:p] + x
+    for each period p of x and then x·t·x for |t| = 0, 1, ... in symbol
+    order; they are walked only once the padding test has failed.  Over one
+    symbol the padding test is not exact and the walk alone decides: its
+    first candidate, a^(|x|+1), settles it.
     """
-    if method not in ("auto", "general"):
-        raise ValueError(f"unknown method {method!r}")
     if not x or not y:
         raise EmptyPatternError("interlacing needs nonempty words")
     alphabet.require(x)
     alphabet.require(y)
-    if method == "general" or len(alphabet) == 1:
-        return is_interlaced_by(x, y, alphabet)
-    if len(alphabet) >= 3:
-        pad_length, tag = 1, Method.SINGLE_LETTER
-    else:
+    symbols = alphabet.symbols
+    if len(symbols) == 2:
         pad_length, tag = 3, Method.LENGTH_THREE
-    for t in product(alphabet.symbols, repeat=pad_length):
-        padded = x + "".join(t) + x
-        if y not in padded:
-            return InterlaceVerdict(holds=False, witness=padded, method=tag)
-    return InterlaceVerdict(holds=True, witness=None, method=tag)
+    else:
+        pad_length, tag = 1, Method.SINGLE_LETTER
+    if len(symbols) >= 2 and all(y in z for z in _padded(x, symbols, (pad_length,))):
+        return InterlaceVerdict(holds=True, witness=None, method=tag)
+    candidates = chain(_overlaps(x), _padded(x, symbols, range(pad_length + 1)))
+    witness = next((z for z in candidates if y not in z), None)
+    return InterlaceVerdict(holds=witness is None, witness=witness, method=tag)

@@ -26,7 +26,7 @@ from .errors import (
     EmptyPatternError,
     NotRegularError,
 )
-from .interlace import interlaced, shortest_bordered_avoiding
+from .interlace import interlaced
 from .words import (
     Alphabet,
     BorderDecomposition,
@@ -159,16 +159,10 @@ def decide_regularity(x: Word, y: Word, alphabet: Alphabet) -> RegularityOutcome
     """Whether the comparison languages for x, y over the alphabet are regular.
 
     The criterion is the same for every comparison relation: regular iff x is
-    interlaced by y or y is interlaced by x.  Each direction is decided by the
-    padding test (the general automaton over unary alphabets, where every
-    pair is regular).  A non-regular pair builds no automaton: the
-    certificate's r and s come from a walk over the bordered words up to the
-    padding bound.
+    interlaced by y or y is interlaced by x.  Each direction is decided once,
+    by interlaced, which builds no automaton; for a non-regular pair the
+    witnesses of the two directions are the certificate's r and s.
     """
-    if not x or not y:
-        raise EmptyPatternError("regularity needs nonempty patterns")
-    alphabet.require(x)
-    alphabet.require(y)
     x_by_y = interlaced(x, y, alphabet)
     y_by_x = interlaced(y, x, alphabet)
     if x_by_y.holds and y_by_x.holds:
@@ -177,19 +171,22 @@ def decide_regularity(x: Word, y: Word, alphabet: Alphabet) -> RegularityOutcome
         return RegularityOutcome(True, Direction.X_INTERLACED_BY_Y, None)
     if y_by_x.holds:
         return RegularityOutcome(True, Direction.Y_INTERLACED_BY_X, None)
-    return RegularityOutcome(False, None, non_regularity_certificate(x, y, alphabet))
+    return RegularityOutcome(False, None, _certificate(x, y, y_by_x.witness, x_by_y.witness))
 
 
 def non_regularity_certificate(x: Word, y: Word, alphabet: Alphabet) -> NonRegularityCertificate:
     """Build and verify the certificate for a pair where neither interlacing holds."""
-    if not x or not y:
-        raise EmptyPatternError("certificates need nonempty patterns")
-    r = shortest_bordered_avoiding(y, x, alphabet)
-    s = shortest_bordered_avoiding(x, y, alphabet)
+    r = interlaced(y, x, alphabet).witness
+    s = interlaced(x, y, alphabet).witness
     if r is None or s is None:
         raise CriterionHoldsError(
             "an interlacing direction holds, so the comparison languages are regular"
         )
+    return _certificate(x, y, r, s)
+
+
+def _certificate(x: Word, y: Word, r: Word, s: Word) -> NonRegularityCertificate:
+    """The verified certificate with r, s the smallest y-, x-bordered words avoiding x, y."""
     dec_r = decompose_bordered(r, y)
     dec_s = decompose_bordered(s, x)
     cd = power_count_params(dec_r, y)

@@ -5,7 +5,6 @@ import pytest
 
 from occlang import (
     Alphabet,
-    BoolOp,
     Borderedness,
     Dfa,
     MatcherMode,
@@ -124,17 +123,16 @@ def _starts_with_zero():
 
 def test_combine_examples():
     ends_zero = matcher_automaton("0", BIN, MatcherMode.SUFFIX_ONLY)
-    both = combine(ends_zero, _starts_with_zero(), BoolOp.AND)
+    both = combine(ends_zero, _starts_with_zero())
     assert both.accepts("00") and not both.accepts("01")
 
     everything = Dfa(BIN, ((0, 0),), 0, frozenset({0}))
-    nothing = combine(everything, everything, BoolOp.AND_NOT)
+    nothing = combine(everything, complement(everything))
     assert shortest_accepted(nothing) is None
 
     avoid = combine(
         grafted_bordered_automaton("01", BIN),
         complement(matcher_automaton("10", BIN, MatcherMode.ABSORBING_SUBWORD)),
-        BoolOp.AND,
     )
     assert shortest_accepted(avoid) is None
     # cross-check: every 01-bordered word up to length 10 contains 10
@@ -145,7 +143,7 @@ def test_combine_examples():
 
 def test_combine_rejects_mismatched_alphabets():
     with pytest.raises(AlphabetMismatchError):
-        combine(matcher_automaton("0", BIN), matcher_automaton("a", AB), BoolOp.AND)
+        combine(matcher_automaton("0", BIN), matcher_automaton("a", AB))
 
 
 def test_combine_and_complement_membership():
@@ -156,8 +154,8 @@ def test_combine_and_complement_membership():
     }
     for a in machines.values():
         for b in machines.values():
-            both = combine(a, b, BoolOp.AND)
-            diff = combine(a, b, BoolOp.AND_NOT)
+            both = combine(a, b)
+            diff = combine(a, complement(b))
             for w in words_upto(BIN, 10):
                 assert both.accepts(w) == (a.accepts(w) and b.accepts(w))
                 assert diff.accepts(w) == (a.accepts(w) and not b.accepts(w))
@@ -191,7 +189,6 @@ def test_minimize_idempotent_and_membership_preserving():
         combine(
             grafted_bordered_automaton("01", BIN),
             complement(matcher_automaton("110", BIN, MatcherMode.ABSORBING_SUBWORD)),
-            BoolOp.AND,
         ),
     ]
     for a in subjects:
@@ -354,6 +351,36 @@ def test_from_json_rejects_booleans_and_duplicate_states():
     for change in broken:
         with pytest.raises(MalformedJsonError):
             from_json(json.dumps(dict(doc, **change)))
+
+
+def test_from_json_requires_an_alphabet_list():
+    import json
+
+    doc = json.loads(serialize(matcher_automaton("01", BIN), "json"))
+    for symbols in ["01", {"0": 1, "1": 2}, ["0", 1], ["0", ["1"]]]:
+        with pytest.raises(MalformedJsonError):
+            from_json(json.dumps(dict(doc, alphabet=symbols)))
+
+
+def test_from_json_rejects_unhashable_transition_symbols():
+    import json
+
+    doc = json.loads(serialize(matcher_automaton("01", BIN), "json"))
+    for sym in [["0"], {"0": 0}, 0, None]:
+        doc["transitions"][0][1] = sym
+        with pytest.raises(MalformedJsonError):
+            from_json(json.dumps(doc))
+
+
+def test_from_json_checks_the_transition_count_before_allocating():
+    import json
+
+    # a table of 2**40 rows cannot be built; the short transition list must be
+    # rejected first
+    doc = {"alphabet": ["0", "1"], "state_count": 2**40, "start": 0, "accepting": [],
+           "transitions": [[0, "0", 0], [0, "1", 0]]}
+    with pytest.raises(MalformedJsonError, match="every"):
+        from_json(json.dumps(doc))
 
 
 def test_dot_output_shape():

@@ -91,6 +91,31 @@ def test_witness(capsys):
     assert code == 0 and out.strip() == "none"
 
 
+@pytest.mark.parametrize(
+    "x, y, symbols",
+    [
+        ("01", "10", "012"),
+        ("01", "10", "01"),
+        ("01001010", "10100", "01"),
+        ("1000", "000100", "01"),
+        ("0011", "1100", "01"),
+        ("000", "00000", "01"),
+        ("aaa", "aaaaa", "a"),
+        ("aa", "aaa", "a"),
+    ],
+)
+def test_interlaced_and_witness_print_the_same_witness(capsys, x, y, symbols):
+    witnesses = []
+    for extra in ([], ["--method", "general"]):
+        code, doc, _ = run_json(capsys, "interlaced", x, y, "--alphabet", symbols, *extra)
+        assert code == 0
+        witnesses.append(doc["witness"])
+    code, doc, _ = run_json(capsys, "witness", x, y, "--alphabet", symbols)
+    assert code == 0
+    witnesses.append(doc["witness"])
+    assert witnesses[0] == witnesses[1] == witnesses[2]
+
+
 def test_finite(capsys):
     code, out, _ = run(capsys, "finite", "aa", "aaa", "--alphabet", "a")
     assert code == 0 and out.strip() == "finite"

@@ -2,19 +2,21 @@ import random
 
 import pytest
 
+from occlang import automata, interlace
 from occlang import (
     Alphabet,
     Method,
     avoider_automaton,
     count_occurrences,
+    decide_regularity,
     enumerate_bordered,
     in_b_x,
     in_class_a,
     interlaced,
     is_interlaced_by,
     shortest_accepted,
-    shortest_bordered_avoiding,
 )
+from occlang.cli import main
 from occlang.errors import (
     AlphabetNotBinaryError,
     EmptyPatternError,
@@ -173,39 +175,39 @@ def test_dispatcher_routes_and_agrees():
         for x in nonempty_words_upto(alphabet, bound):
             for y in nonempty_words_upto(alphabet, bound):
                 auto = interlaced(x, y, alphabet)
-                general = interlaced(x, y, alphabet, method="general")
-                assert auto.holds == general.holds
+                general = is_interlaced_by(x, y, alphabet)
+                assert (auto.holds, auto.witness) == (general.holds, general.witness)
                 assert auto.method is expected_method
                 assert general.method is Method.GENERAL_AUTOMATON
 
 
-def test_dispatcher_unary_uses_general_method():
+def test_dispatcher_unary_uses_the_walk():
     verdict = interlaced("aa", "aaa", UNARY)
-    assert verdict.method is Method.GENERAL_AUTOMATON
+    assert verdict.method is Method.SINGLE_LETTER
     assert verdict.holds
-    with pytest.raises(ValueError):
-        interlaced("aa", "aaa", UNARY, method="fast")
+    verdict = interlaced("aaa", "aaaaa", UNARY)
+    assert verdict == (False, "aaaa", Method.SINGLE_LETTER)
 
 
 def test_dispatcher_witnesses_are_valid():
     for alphabet, bound in [(BIN, 3), (TERN, 2)]:
         for x in nonempty_words_upto(alphabet, bound):
             for y in nonempty_words_upto(alphabet, bound):
-                for method in ("auto", "general"):
-                    verdict = interlaced(x, y, alphabet, method=method)
+                for decide in (interlaced, is_interlaced_by):
+                    verdict = decide(x, y, alphabet)
                     if verdict.holds:
                         assert verdict.witness is None
                     else:
                         w = verdict.witness
                         assert _is_bordered(w, x) and count_occurrences(w, y) == 0
-                        assert len(w) < (len(y) + 1) * (2 * len(x) + 3)
+                        assert len(w) <= 2 * len(x) + 3
 
 
 def test_nonbinary_two_symbol_alphabets_use_the_padding_test():
     ab = Alphabet("ab")
     verdict = interlaced("ab", "ba", ab)
     assert verdict.method is Method.LENGTH_THREE
-    assert verdict.holds == interlaced("ab", "ba", ab, method="general").holds
+    assert verdict.holds == is_interlaced_by("ab", "ba", ab).holds
 
 
 def test_counting_inequality_when_interlaced():
@@ -222,14 +224,19 @@ def test_counting_inequality_when_interlaced():
 
 
 def _walk_matches_the_automaton(x, y, alphabet):
-    expected = shortest_accepted(avoider_automaton(y, x, alphabet))
-    assert shortest_bordered_avoiding(x, y, alphabet) == expected, (x, y, alphabet.symbols)
-    return expected
+    verdict = interlaced(x, y, alphabet)
+    reference = is_interlaced_by(x, y, alphabet)
+    assert (verdict.holds, verdict.witness) == (reference.holds, reference.witness), (
+        x,
+        y,
+        alphabet.symbols,
+    )
+    return verdict.witness
 
 
 def test_bordered_walk_matches_the_automaton_exhaustively():
     found = 0
-    for alphabet, bound in [(BIN, 5), (TERN, 3), (Alphabet("ab"), 4), (UNARY, 5)]:
+    for alphabet, bound in [(BIN, 5), (TERN, 3), (Alphabet("ab"), 4), (UNARY, 6)]:
         words = list(nonempty_words_upto(alphabet, bound))
         for x in words:
             for y in words:
@@ -257,15 +264,33 @@ def test_bordered_walk_matches_the_automaton_on_periodic_pairs():
 
 
 def test_bordered_walk_examples():
-    assert shortest_bordered_avoiding("01", "10", TERN) == "01201"
-    assert shortest_bordered_avoiding("01", "10", BIN) is None
-    assert shortest_bordered_avoiding("1000", "000100", BIN) == "100011000"
+    assert interlaced("01", "10", TERN).witness == "01201"
+    assert interlaced("01", "10", BIN).witness is None
+    assert interlaced("1000", "000100", BIN).witness == "100011000"
     # the remark pair: no y-bordered word shorter than 2|y| + 3 avoids x
     assert _walk_matches_the_automaton("01001010", "10100", BIN) == "0100101011001001010"
     for x, y in [("01010010", "00101"), ("10101101", "11010"), ("10110101", "01011")]:
         assert len(_walk_matches_the_automaton(x, y, BIN)) == 2 * len(x) + 3
     # the overlap 0^(n+1) comes first; over one symbol it alone decides
-    assert shortest_bordered_avoiding("000", "00000", BIN) == "0000"
-    assert shortest_bordered_avoiding("aaa", "aaaa", UNARY) is None
+    assert interlaced("000", "00000", BIN).witness == "0000"
+    assert interlaced("aaa", "aaaa", UNARY).witness is None
     with pytest.raises(EmptyPatternError):
-        shortest_bordered_avoiding("", "0", BIN)
+        interlaced("", "0", BIN)
+
+
+def test_no_decision_path_builds_an_automaton(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an automaton was built on a decision path")
+
+    for name in ("avoider_automaton", "is_interlaced_by", "combine", "shortest_accepted"):
+        monkeypatch.setattr(interlace, name, forbidden)
+    monkeypatch.setattr(automata, "combine", forbidden)
+    for alphabet, bound in [(BIN, 4), (TERN, 3), (UNARY, 5)]:
+        words = list(nonempty_words_upto(alphabet, bound))
+        symbols = "".join(alphabet.symbols)
+        for x in words:
+            for y in words:
+                decide_regularity(x, y, alphabet)
+                verdict = interlaced(x, y, alphabet)
+                assert main(["witness", x, y, "--alphabet", symbols]) == 0
+                assert capsys.readouterr().out.strip() == (verdict.witness or "none")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from occlang import (
+    Alphabet,
     Direction,
     MatcherMode,
     Relation,
@@ -16,7 +17,12 @@ from occlang import (
     non_regularity_certificate,
     straddle_count,
 )
-from occlang.errors import CriterionHoldsError, EmptyPatternError, NotRegularError
+from occlang.errors import (
+    CriterionHoldsError,
+    EmptyPatternError,
+    ForeignSymbolError,
+    NotRegularError,
+)
 from occlang.regularity import _tracker_dfa
 
 from helpers import (
@@ -139,6 +145,22 @@ def test_certificate_golden_ternary():
     cert = non_regularity_certificate("01", "10", TERN)
     # s is the shortest 01-bordered word avoiding 10
     assert cert.s == "01201"
+
+
+def test_decide_regularity_checks_each_word_once_per_direction(monkeypatch):
+    checked = []
+    require = Alphabet.require
+    monkeypatch.setattr(Alphabet, "require", lambda self, w: checked.append(w) or require(self, w))
+    for x, y in [("0011", "1100"), ("01", "10")]:
+        checked.clear()
+        decide_regularity(x, y, BIN)
+        assert checked == [x, y, y, x]
+    bad = [("", "0", EmptyPatternError), ("0", "", EmptyPatternError)]
+    bad += [("02", "0", ForeignSymbolError), ("0", "2", ForeignSymbolError)]
+    for x, y, error in bad:
+        for decide in (decide_regularity, non_regularity_certificate):
+            with pytest.raises(error):
+                decide(x, y, BIN)
 
 
 def test_certificate_rejected_for_regular_pairs():
