@@ -116,24 +116,21 @@ def matcher_automaton(p: Word, alphabet: Alphabet, mode: MatcherMode = MatcherMo
     match and marks state |p| (one mark visit per occurrence);
     ABSORBING_SUBWORD turns state |p| into an accepting sink, recognizing the
     words that contain p; SUFFIX_ONLY accepts exactly the words ending in p.
+    Row i is a copy of row fail[i] (all zeros for i = 0) with the entry for
+    p[i] patched to i + 1; the last row is row fail[|p|] unpatched.
     """
     if not p:
         raise EmptyPatternError("matcher pattern must be nonempty")
     alphabet.require(p)
     m = len(p)
     fail = kmp_failure(p)
-    rows: list[tuple[int, ...]] = [tuple(1 if p[0] == a else 0 for a in alphabet.symbols)]
-    for i in range(1, m + 1):
-        if i == m and mode is MatcherMode.ABSORBING_SUBWORD:
-            rows.append(tuple(m for _ in alphabet.symbols))
-            continue
-        fallback = rows[fail[i]]
-        rows.append(
-            tuple(
-                i + 1 if i < m and p[i] == a else fallback[ai]
-                for ai, a in enumerate(alphabet.symbols)
-            )
-        )
+    k = len(alphabet)
+    rows: list[tuple[int, ...]] = []
+    for i, a in enumerate(p):
+        row = list(rows[fail[i]]) if i else [0] * k
+        row[alphabet.index(a)] = i + 1
+        rows.append(tuple(row))
+    rows.append((m,) * k if mode is MatcherMode.ABSORBING_SUBWORD else rows[fail[m]])
     if mode is MatcherMode.COUNTING:
         return Dfa(alphabet, tuple(rows), 0, frozenset(), match_mark=frozenset({m}))
     return Dfa(alphabet, tuple(rows), 0, frozenset({m}))
@@ -215,7 +212,8 @@ def minimize(a: Dfa) -> Dfa:
     the predecessors of a (block, symbol) splitter taken from a worklist.  When
     a block splits, a pending splitter of it stays pending for both halves;
     otherwise only the smaller half is queued, so each state lies in O(log n)
-    processed splitters per symbol.
+    processed splitters per symbol.  When the reachable states all accept or
+    all reject, the one-state DFA is returned before any table is built.
     """
     k = len(a.alphabet)
     trans = a.transitions
@@ -226,20 +224,20 @@ def minimize(a: Dfa) -> Dfa:
             if t not in seen:
                 seen.add(t)
                 reach.append(t)
+    accepting = {s for s in reach if s in a.accepting}
+    members = [part for part in (accepting, seen - accepting) if part]
+    if len(members) == 1:
+        return Dfa(a.alphabet, ((0,) * k,), 0, frozenset({0} if accepting else ()))
     inverse: list[list[list[int]]] = [[[] for _ in trans] for _ in range(k)]
     for s in reach:
         for si, t in enumerate(trans[s]):
             inverse[si][t].append(s)
-    accepting = {s for s in reach if s in a.accepting}
-    members = [part for part in (accepting, seen - accepting) if part]
     block = [0] * a.state_count
     for b, part in enumerate(members):
         for s in part:
             block[s] = b
-    pending: set[tuple[int, int]] = set()
-    if len(members) == 2:
-        smaller = 0 if len(members[0]) <= len(members[1]) else 1
-        pending = {(smaller, si) for si in range(k)}
+    smaller = 0 if len(members[0]) <= len(members[1]) else 1
+    pending = {(smaller, si) for si in range(k)}
     while pending:
         b, si = pending.pop()
         preds = inverse[si]

@@ -13,6 +13,7 @@ the language non-regular (the certificate is printed as JSON on stdout).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,7 +42,9 @@ def _add_json_flag(sub):
     sub.add_argument("--json", action="store_true", help="machine-readable JSON output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process (parse_args leaves it unchanged)."""
     parser = _Parser(prog="occlang", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -270,12 +273,10 @@ def _cmd_validate(args) -> int:
             )
     else:
         cert = outcome.certificate
-        bound_r = (len(x) + 1) * (2 * len(y) + 3)
-        bound_s = (len(y) + 1) * (2 * len(x) + 3)
         check(
             "witness-bounds",
-            len(cert.r) < bound_r and len(cert.s) < bound_s,
-            "certificate witnesses are shorter than the automaton state bounds",
+            len(cert.r) <= 2 * len(y) + 3 and len(cert.s) <= 2 * len(x) + 3,
+            "certificate witnesses are within the padding bounds |r| <= 2|y|+3 and |s| <= 2|x|+3",
         )
         check(
             "certificate-avoidance",

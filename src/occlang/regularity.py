@@ -241,55 +241,51 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
         raise CertificateError("invalid certificate: " + "; ".join(problems))
 
 
-_STICKY = -2
-
-
 def _tracker_dfa(x: Word, y: Word, alphabet: Alphabet, rel: Relation) -> Dfa:
     """Product of the two counting matchers with a saturating difference tracker.
 
     Assumes x is interlaced by y, which caps |z|_x - |z|_y at +1 and makes
-    every difference of -2 or below permanent; the tracker therefore only
-    needs the values +1, 0, -1 and a sticky "forever below" state.
+    every difference of -2 or below permanent.  A state is a matcher pair
+    (sx, sy) with a difference d of +1, 0 or -1, keyed by the integer
+    (sx·(|y|+1) + sy)·3 + d + 1; every successor whose difference falls to
+    -2 goes to one sink, whatever the matchers' states.  The sink's key -3
+    reads as d = -1 under the same decoding, so it accepts for LT and LE and
+    rejects for EQ.
     """
-    mx = matcher_automaton(x, alphabet, MatcherMode.COUNTING)
-    my = matcher_automaton(y, alphabet, MatcherMode.COUNTING)
-    tx, ty = mx.transitions, my.transitions
+    tx = matcher_automaton(x, alphabet, MatcherMode.COUNTING).transitions
+    ty = matcher_automaton(y, alphabet, MatcherMode.COUNTING).transitions
     hit_x, hit_y = len(x), len(y)
+    width = hit_y + 1
     k = len(alphabet)
-    states: list[tuple[int, int, int]] = [(0, 0, 0)]
-    index = {(0, 0, 0): 0}
+    sink = -3
+    keys = [1]  # both matchers in state 0, difference 0
+    index = {1: 0}
     rows: list[tuple[int, ...]] = []
-    qi = 0
-    while qi < len(states):
-        sx, sy, diff = states[qi]
-        qi += 1
+    for key in keys:  # breadth first: the loop reaches the keys appended below
+        if key == sink:
+            rows.append((index[sink],) * k)
+            continue
+        pair, d = divmod(key, 3)
+        sx, sy = divmod(pair, width)
+        d -= 1
         row = []
-        for si in range(k):
-            nx, ny = tx[sx][si], ty[sy][si]
-            if diff == _STICKY:
-                nd = _STICKY
-            else:
-                nd = diff + (1 if nx == hit_x else 0) - (1 if ny == hit_y else 0)
-                if nd > 1:
-                    raise CriterionHoldsError(
-                        "difference tracker overflow: x is not interlaced by y"
-                    )
-                if nd < -1:
-                    nd = _STICKY
-            key = (nx, ny, nd)
-            t = index.get(key)
+        for nx, ny in zip(tx[sx], ty[sy]):
+            nd = d + (nx == hit_x) - (ny == hit_y)
+            if nd > 1:
+                raise CriterionHoldsError("difference tracker overflow: x is not interlaced by y")
+            nkey = sink if nd < -1 else (nx * width + ny) * 3 + nd + 1
+            t = index.get(nkey)
             if t is None:
-                t = len(states)
-                index[key] = t
-                states.append(key)
+                t = index[nkey] = len(keys)
+                keys.append(nkey)
             row.append(t)
         rows.append(tuple(row))
     if rel is Relation.EQ:
-        acc = frozenset(i for i, (_, _, d) in enumerate(states) if d == 0)
+        acc = frozenset(i for i, key in enumerate(keys) if key % 3 == 1)
     elif rel is Relation.LT:
-        acc = frozenset(i for i, (_, _, d) in enumerate(states) if d < 0)
+        acc = frozenset(i for i, key in enumerate(keys) if key % 3 == 0)
     elif rel is Relation.LE:
-        acc = frozenset(i for i, (_, _, d) in enumerate(states) if d <= 0)
+        acc = frozenset(i for i, key in enumerate(keys) if key % 3 != 2)
     else:
         raise ValueError(f"tracker handles LT, LE, EQ directly, not {rel}")
     return Dfa(alphabet, tuple(rows), 0, acc)

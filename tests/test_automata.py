@@ -21,6 +21,7 @@ from occlang import (
     serialize,
     shortest_accepted,
 )
+from occlang.automata import kmp_failure
 from occlang.errors import AlphabetMismatchError, EmptyPatternError, ForeignSymbolError, MalformedJsonError
 from occlang.regularity import _tracker_dfa
 
@@ -68,6 +69,29 @@ def test_matcher_rejects_bad_input():
         matcher_automaton("", BIN)
     with pytest.raises(ForeignSymbolError):
         matcher_automaton("abc", BIN)
+
+
+def _longest_prefix_suffix(w, p):
+    """Length of the longest suffix of w that is a prefix of p, by brute force."""
+    return max(j for j in range(min(len(w), len(p)) + 1) if w.endswith(p[:j]))
+
+
+@pytest.mark.parametrize("alphabet, max_len", [(BIN, 6), (TERN, 4)])
+def test_matcher_rows_match_their_definition(alphabet, max_len):
+    for p in nonempty_words_upto(alphabet, max_len):
+        m = len(p)
+        expected = [
+            tuple(_longest_prefix_suffix(p[:i] + a, p) for a in alphabet.symbols)
+            for i in range(m)
+        ]
+        fail = kmp_failure(p)
+        for mode in MatcherMode:
+            rows = matcher_automaton(p, alphabet, mode).transitions
+            assert rows[:m] == tuple(expected), (p, mode)
+            if mode is MatcherMode.ABSORBING_SUBWORD:
+                assert rows[m] == (m,) * len(alphabet), p
+            else:
+                assert rows[m] == rows[fail[m]], (p, mode)
 
 
 def test_matcher_counting_matches_occurrences_exhaustively():

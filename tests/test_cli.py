@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occlang.cli import main
+from occlang.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -138,6 +138,20 @@ def test_validate_passes(capsys):
     code, doc, _ = run_json(capsys, "validate", "01", "10", "--alphabet", "012", "--max-len", "6")
     assert code == 0 and doc["pass"] is True
     assert any(c["name"] == "witness-bounds" for c in doc["checks"])
+
+
+@pytest.mark.parametrize(
+    "x, y, symbols", [("01", "10", "012"), ("10100", "01001010", "01"), ("0011", "1100", "01")]
+)
+def test_validate_checks_the_padding_bound_on_golden_nonregular_pairs(capsys, x, y, symbols):
+    code, doc, _ = run_json(capsys, "validate", x, y, "--alphabet", symbols, "--max-len", "4")
+    assert code == 0 and doc["pass"] is True
+    (bounds,) = [c for c in doc["checks"] if c["name"] == "witness-bounds"]
+    assert bounds["pass"] is True
+    assert "2|y|+3" in bounds["detail"] and "2|x|+3" in bounds["detail"]
+    _, outcome, _ = run_json(capsys, "regular", x, y, "--alphabet", symbols)
+    cert = outcome["certificate"]
+    assert len(cert["r"]) <= 2 * len(y) + 3 and len(cert["s"]) <= 2 * len(x) + 3
 
 
 def test_validate_long_unary_sweep_has_no_recursion_limit(capsys):
@@ -310,3 +324,13 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     loaded = set(run.stdout.split())
     assert "occlang.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_main_reuses_one_parser_across_subcommands(capsys):
+    assert build_parser() is build_parser()
+    assert run(capsys, "count", "banana", "ana")[:2] == (0, "2\n")
+    assert run(capsys, "regular", "0", "0", "--alphabet", "00")[0] == 1
+    code, doc, _ = run_json(capsys, "witness", "0011", "1100", "--alphabet", "01")
+    assert code == 0 and doc["witness"] == "0011010011"
+    code, doc, _ = run_json(capsys, "regular", "01", "10", "--alphabet", "01")
+    assert code == 0 and doc["regular"] is True and doc["relation"] == "eq"

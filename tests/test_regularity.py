@@ -14,6 +14,7 @@ from occlang import (
     decide_regularity,
     is_interlaced_by,
     matcher_automaton,
+    minimize,
     non_regularity_certificate,
     straddle_count,
 )
@@ -257,6 +258,37 @@ def _unminimized(x, y, alphabet, rel, direction):
     if rel in (Relation.GT, Relation.GE, Relation.NE):
         return complement(_tracker_dfa(x, y, alphabet, rel.complemented()))
     return _tracker_dfa(x, y, alphabet, rel)
+
+
+def _sinks(dfa):
+    return [s for s, row in enumerate(dfa.transitions) if all(t == s for t in row)]
+
+
+def test_tracker_state_counts():
+    small = _tracker_dfa("0" * 12, "0" * 11, BIN, Relation.EQ)
+    assert small.state_count == 25
+    assert len(_sinks(small)) == 1
+    big = _tracker_dfa("0" * 2000, "0" * 1999, BIN, Relation.EQ)
+    assert big.state_count == 4001
+    assert minimize(big).state_count == 2000
+
+
+def test_tracker_has_at_most_one_sink(binary_grid):
+    ternary = list(nonempty_words_upto(TERN, 3))
+    cases = [(x, y, BIN, o) for (x, y), o in binary_grid.items()]
+    cases += [(x, y, TERN, decide_regularity(x, y, TERN)) for x in ternary for y in ternary]
+    with_sink = 0
+    for x, y, alphabet, outcome in cases:
+        if not outcome.regular:
+            continue
+        if outcome.direction is Direction.Y_INTERLACED_BY_X:
+            x, y = y, x
+        # Over two or more symbols no live matcher pair loops on every symbol,
+        # so a state whose every successor is itself can only be the one sink.
+        sinks = len(_sinks(_tracker_dfa(x, y, alphabet, Relation.EQ)))
+        assert sinks <= 1, (x, y, alphabet)
+        with_sink += sinks
+    assert with_sink > 0
 
 
 def test_comparison_dfas_are_minimal_and_agree_with_the_tracker(binary_grid):
