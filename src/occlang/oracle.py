@@ -64,33 +64,27 @@ def _default_budget(alphabet: Alphabet) -> int:
     return 16 if len(alphabet) <= 2 else 10
 
 
-def _walk_counts(
-    patterns: Sequence[Word], alphabet: Alphabet, max_length: int
-) -> Iterator[tuple[Word, tuple[int, ...]]]:
+def _walk_counts(patterns: Sequence[Word], alphabet: Alphabet, max_length: int) -> Iterator:
     """Every word of length <= max_length with its per-pattern occurrence counts.
 
     Depth-first over the prefix tree in symbol order, extending matcher states
     incrementally, so the whole sweep costs one transition per tree edge per
-    pattern.
+    pattern.  An explicit stack, with children pushed in reverse symbol order,
+    keeps the call depth constant whatever max_length is.
     """
-    machines = [matcher_automaton(p, alphabet, MatcherMode.COUNTING) for p in patterns]
-    tables = [m.transitions for m in machines]
+    tables = [matcher_automaton(p, alphabet, MatcherMode.COUNTING).transitions for p in patterns]
     hits = [len(p) for p in patterns]
-    nsym = len(alphabet.symbols)
-
-    def rec(word: Word, states: tuple[int, ...], counts: tuple[int, ...]):
-        yield word, counts
-        if len(word) == max_length:
-            return
-        for si in range(nsym):
-            nstates = tuple(t[s][si] for t, s in zip(tables, states))
-            ncounts = tuple(
-                c + (1 if s2 == h else 0) for c, s2, h in zip(counts, nstates, hits)
-            )
-            yield from rec(word + alphabet.symbols[si], nstates, ncounts)
-
+    symbols = alphabet.symbols
     zero = (0,) * len(patterns)
-    yield from rec("", zero, zero)
+    stack = [("", zero, zero)]
+    while stack:
+        word, states, counts = stack.pop()
+        yield word, counts
+        if len(word) < max_length:
+            for si in reversed(range(len(symbols))):
+                nstates = tuple(t[s][si] for t, s in zip(tables, states))
+                ncounts = tuple(c + (s == h) for c, s, h in zip(counts, nstates, hits))
+                stack.append((word + symbols[si], nstates, ncounts))
 
 
 def _census(

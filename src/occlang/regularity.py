@@ -11,6 +11,8 @@ occurrence arithmetic a pumping argument consumes.
 from __future__ import annotations
 
 import enum
+import operator
+from functools import lru_cache
 from typing import NamedTuple
 
 from .automata import (
@@ -59,30 +61,14 @@ class Relation(enum.Enum):
         return _MIRROR[self]
 
 
-_HOLDS = {
-    Relation.LT: lambda a, b: a < b,
-    Relation.LE: lambda a, b: a <= b,
-    Relation.EQ: lambda a, b: a == b,
-    Relation.GT: lambda a, b: a > b,
-    Relation.GE: lambda a, b: a >= b,
-    Relation.NE: lambda a, b: a != b,
-}
-_COMPLEMENT = {
-    Relation.LT: Relation.GE,
-    Relation.GE: Relation.LT,
-    Relation.LE: Relation.GT,
-    Relation.GT: Relation.LE,
-    Relation.EQ: Relation.NE,
-    Relation.NE: Relation.EQ,
-}
-_MIRROR = {
-    Relation.LT: Relation.GT,
-    Relation.GT: Relation.LT,
-    Relation.LE: Relation.GE,
-    Relation.GE: Relation.LE,
-    Relation.EQ: Relation.EQ,
-    Relation.NE: Relation.NE,
-}
+# A relation's value names its test in the operator module.
+_HOLDS = {rel: getattr(operator, rel.value) for rel in Relation}
+# Both maps are involutions; each is spelled out on one half and inverted.
+_COMPLEMENT = {Relation.LT: Relation.GE, Relation.LE: Relation.GT, Relation.EQ: Relation.NE}
+_MIRROR = {Relation.LT: Relation.GT, Relation.LE: Relation.GE, Relation.EQ: Relation.EQ}
+for _table in (_COMPLEMENT, _MIRROR):
+    _table.update({b: a for a, b in _table.items()})
+_MIRROR[Relation.NE] = Relation.NE
 
 
 class Direction(enum.Enum):
@@ -241,7 +227,7 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
         raise CertificateError("invalid certificate: " + "; ".join(problems))
 
 
-def _tracker_dfa(x: Word, y: Word, alphabet: Alphabet, rel: Relation) -> Dfa:
+def _tracker(x: Word, y: Word, alphabet: Alphabet) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """Product of the two counting matchers with a saturating difference tracker.
 
     Assumes x is interlaced by y, which caps |z|_x - |z|_y at +1 and makes
@@ -249,8 +235,8 @@ def _tracker_dfa(x: Word, y: Word, alphabet: Alphabet, rel: Relation) -> Dfa:
     (sx, sy) with a difference d of +1, 0 or -1, keyed by the integer
     (sx·(|y|+1) + sy)·3 + d + 1; every successor whose difference falls to
     -2 goes to one sink, whatever the matchers' states.  The sink's key -3
-    reads as d = -1 under the same decoding, so it accepts for LT and LE and
-    rejects for EQ.
+    reads as d = -1 under the same decoding.  Returns the transition table,
+    with start state 0, and the key of every state.
     """
     tx = matcher_automaton(x, alphabet, MatcherMode.COUNTING).transitions
     ty = matcher_automaton(y, alphabet, MatcherMode.COUNTING).transitions
@@ -280,22 +266,38 @@ def _tracker_dfa(x: Word, y: Word, alphabet: Alphabet, rel: Relation) -> Dfa:
                 keys.append(nkey)
             row.append(t)
         rows.append(tuple(row))
-    if rel is Relation.EQ:
-        acc = frozenset(i for i, key in enumerate(keys) if key % 3 == 1)
-    elif rel is Relation.LT:
-        acc = frozenset(i for i, key in enumerate(keys) if key % 3 == 0)
-    elif rel is Relation.LE:
-        acc = frozenset(i for i, key in enumerate(keys) if key % 3 != 2)
-    else:
-        raise ValueError(f"tracker handles LT, LE, EQ directly, not {rel}")
-    return Dfa(alphabet, tuple(rows), 0, acc)
+    return tuple(rows), keys
 
 
-def _build_primary(x: Word, y: Word, alphabet: Alphabet, rel: Relation) -> Dfa:
-    # assumes x interlaced by y
-    if rel in (Relation.GT, Relation.GE, Relation.NE):
-        return complement(_build_primary(x, y, alphabet, rel.complemented()))
-    return minimize(_tracker_dfa(x, y, alphabet, rel))
+# The residues d + 1 (mod 3) of the accepting tracker keys; the sink's is 0.
+_RESIDUES = {Relation.LT: (0,), Relation.LE: (0, 1), Relation.EQ: (1,)}
+
+
+def _tracker_dfa(x: Word, y: Word, alphabet: Alphabet, rel: Relation) -> Dfa:
+    """The tracker of x interlaced by y, accepting the words of LT, LE or EQ."""
+    return _accepting(alphabet, *_tracker(x, y, alphabet), rel)
+
+
+def _accepting(alphabet: Alphabet, rows: tuple, keys: list[int], rel: Relation) -> Dfa:
+    residues = _RESIDUES[rel]
+    return Dfa(alphabet, rows, 0, frozenset(i for i, key in enumerate(keys) if key % 3 in residues))
+
+
+@lru_cache(maxsize=1)
+def _synthesis(x: Word, y: Word, alphabet: Alphabet) -> tuple[bool, tuple, dict[Relation, Dfa]]:
+    """The synthesis of the most recent regular (x, y, alphabet); a non-regular pair raises.
+
+    Holds whether the pair is swapped so that x is interlaced by y, the
+    oriented tracker, and the minimal LT, LE and EQ DFAs built so far.
+    """
+    outcome = decide_regularity(x, y, alphabet)
+    if not outcome.regular:
+        raise NotRegularError(
+            f"the comparison languages for {x!r} and {y!r} are not regular",
+            certificate=outcome.certificate,
+        )
+    mirror = outcome.direction is Direction.Y_INTERLACED_BY_X
+    return mirror, _tracker(y, x, alphabet) if mirror else _tracker(x, y, alphabet), {}
 
 
 def build_comparison_dfa(x: Word, y: Word, alphabet: Alphabet, rel: Relation) -> Dfa:
@@ -304,13 +306,16 @@ def build_comparison_dfa(x: Word, y: Word, alphabet: Alphabet, rel: Relation) ->
     When only y is interlaced by x the construction runs with the roles
     swapped and the relation mirrored; GT, GE and NE are complements of LE,
     LT and EQ.  Raises NotRegularError carrying the certificate otherwise.
+
+    The six relations of a pair share one synthesis, kept for the most recent
+    (x, y, alphabet) only: one decision, one tracker and the minimal LT, LE
+    and EQ DFAs, each minimized the first time it is asked for.  A repeated
+    call may therefore return the same immutable Dfa.
     """
-    outcome = decide_regularity(x, y, alphabet)
-    if not outcome.regular:
-        raise NotRegularError(
-            f"the comparison languages for {x!r} and {y!r} are not regular",
-            certificate=outcome.certificate,
-        )
-    if outcome.direction is Direction.Y_INTERLACED_BY_X:
-        return _build_primary(y, x, alphabet, rel.mirrored())
-    return _build_primary(x, y, alphabet, rel)
+    mirror, tracker, minimal = _synthesis(x, y, alphabet)
+    rel = rel.mirrored() if mirror else rel
+    primary = rel if rel in _RESIDUES else rel.complemented()
+    dfa = minimal.get(primary)
+    if dfa is None:
+        dfa = minimal[primary] = minimize(_accepting(alphabet, *tracker, primary))
+    return dfa if primary is rel else complement(dfa)

@@ -18,7 +18,7 @@ from occlang import (
 )
 from occlang.errors import BudgetExceededError, EmptyPatternError
 
-from helpers import BIN, UNARY, nonempty_words_upto, words_upto
+from helpers import BIN, TERN, UNARY, nonempty_words_upto, scan_count, words_upto
 
 
 def test_counter_membership_examples():
@@ -65,6 +65,46 @@ def test_bounded_census_budget():
     bounded_census("0", "1", BIN, Relation.EQ, 3, budget=3)
     with pytest.raises(BudgetExceededError):
         bounded_equal_census(["0", "1"], BIN, 4, budget=3)
+
+
+def test_census_has_no_recursion_depth_limit():
+    # one word per length over one symbol: a recursive walk would need 5000 frames
+    report = bounded_census("a", "aa", UNARY, Relation.EQ, 5000, budget=5000)
+    assert report.per_length_counts == (1,) + (0,) * 5000
+    assert report.members == ("",)
+    # |a^n|_a = n > n - 1 = |a^n|_aa for every n >= 1
+    greater = bounded_census("a", "aa", UNARY, Relation.GT, 5000, budget=5000, member_limit=0)
+    assert greater.per_length_counts == (0,) + (1,) * 5000
+    equal = bounded_equal_census(["a", "aa"], UNARY, 5000, budget=5000)
+    assert equal.per_length_counts == (1,) + (0,) * 5000 and equal.members == ("",)
+
+
+def _census_by_scan(words, counts, member):
+    """The census of a word list by its scanned per-pattern counts, in list order."""
+    members = tuple(z for z, c in zip(words, zip(*counts)) if member(c))
+    per_length = [0] * (len(words[-1]) + 1)
+    for z in members:
+        per_length[len(z)] += 1
+    return tuple(per_length), members
+
+
+def test_census_matches_a_scan_of_every_word():
+    for alphabet, pattern_length, max_length in [(BIN, 3, 6), (TERN, 2, 4)]:
+        words = list(words_upto(alphabet, max_length))
+        patterns = list(nonempty_words_upto(alphabet, pattern_length))
+        scans = {p: [scan_count(z, p) for z in words] for p in patterns}
+        for x in patterns:
+            for y in patterns:
+                for rel in Relation:
+                    got = bounded_census(x, y, alphabet, rel, max_length, member_limit=10**6)
+                    want = _census_by_scan(words, [scans[x], scans[y]], lambda c: rel.holds(*c))
+                    assert (got.per_length_counts, got.members) == want, (x, y, rel)
+    words = list(words_upto(TERN, 6))
+    for triple in [("0", "1", "01"), ("01", "10", "11"), ("0", "00", "000"), ("0", "1", "2")]:
+        got = bounded_equal_census(list(triple), TERN, 6, member_limit=10**6)
+        counts = [[scan_count(z, p) for z in words] for p in triple]
+        want = _census_by_scan(words, counts, lambda c: len(set(c)) == 1)
+        assert (got.per_length_counts, got.members) == want, triple
 
 
 def test_census_rejects_negative_lengths():

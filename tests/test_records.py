@@ -34,7 +34,9 @@ def _records():
         outcome.certificate,
         de_bruijn_word(3, BIN),
         bounded_census("01", "10", BIN, Relation.EQ, 4),
-        build_comparison_dfa("01", "10", BIN, Relation.EQ),
+        # build_comparison_dfa may hand back the DFA it built for the same call
+        # before, so copy it to get a distinct instance.
+        Dfa(*build_comparison_dfa("01", "10", BIN, Relation.EQ)),
     ]
 
 

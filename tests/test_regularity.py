@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from occlang import (
     matcher_automaton,
     minimize,
     non_regularity_certificate,
+    serialize,
     straddle_count,
 )
 from occlang.errors import (
@@ -24,6 +28,7 @@ from occlang.errors import (
     ForeignSymbolError,
     NotRegularError,
 )
+from occlang import regularity
 from occlang.regularity import _tracker_dfa
 
 from helpers import (
@@ -307,6 +312,141 @@ def test_comparison_dfas_are_minimal_and_agree_with_the_tracker(binary_grid):
                 assert np.array_equal(got, want), (x, y, alphabet, rel)
             checked += 1
     assert checked == 6 * sum(o.regular for *_, o in cases)
+
+
+def _reference(x, y, alphabet, rel, fmt="json"):
+    """The serialized minimal DFA of one relation, minimized from its own tracker."""
+    direction = decide_regularity(x, y, alphabet).direction
+    return serialize(minimize(_unminimized(x, y, alphabet, rel, direction)), fmt)
+
+
+def test_six_relations_share_one_synthesis(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("decide_regularity", "matcher_automaton", "minimize"):
+        monkeypatch.setattr(regularity, name, counted(name, getattr(regularity, name)))
+    regularity._synthesis.cache_clear()
+    rng = random.Random(8)
+    pairs = [("01", "10", BIN), ("0", "0011", BIN), ("0" * 12, "0" * 11, BIN), ("0" * 5 + "1", "01", BIN),
+             ("0", "0", BIN), ("0000", "00", TERN), ("01", "10", Alphabet("10"))]
+    for x, y, alphabet in pairs:
+        for _ in range(3):
+            regularity._synthesis.cache_clear()
+            calls.clear()
+            relations = list(Relation)
+            rng.shuffle(relations)
+            for rel in relations:
+                build_comparison_dfa(x, y, alphabet, rel)
+            assert calls["decide_regularity"] == 1, (x, y, relations)
+            assert calls["matcher_automaton"] == 2, (x, y, relations)
+            assert 1 <= calls["minimize"] <= 3, (x, y, relations)
+        # asked again, the same pair is served from the synthesis, all six relations
+        calls.clear()
+        for rel in Relation:
+            build_comparison_dfa(x, y, alphabet, rel)
+        assert not calls
+    # one relation alone costs what a single synthesis does
+    regularity._synthesis.cache_clear()
+    calls.clear()
+    build_comparison_dfa("01", "10", BIN, Relation.NE)
+    assert calls == {"decide_regularity": 1, "matcher_automaton": 2, "minimize": 1}
+
+
+def test_synthesis_is_keyed_by_both_patterns_and_the_alphabet():
+    build_comparison_dfa("01", "10", BIN, Relation.EQ)
+    for _ in range(2):  # a non-regular pair is never kept
+        with pytest.raises(NotRegularError) as exc:
+            build_comparison_dfa("01", "10", TERN, Relation.EQ)
+        assert exc.value.certificate == decide_regularity("01", "10", TERN).certificate
+        assert exc.value.certificate is not None
+    flipped = Alphabet("10")
+    swapped_direction = [("0", "0011"), ("0011", "0")]
+    for rel in Relation:
+        ordered = build_comparison_dfa("01", "10", BIN, rel)
+        reordered = build_comparison_dfa("01", "10", flipped, rel)
+        assert ordered.alphabet == BIN and reordered.alphabet == flipped
+        assert serialize(ordered, "json") == _reference("01", "10", BIN, rel)
+        assert serialize(reordered, "json") == _reference("01", "10", flipped, rel)
+        for x, y in swapped_direction + swapped_direction[::-1]:
+            assert serialize(build_comparison_dfa(x, y, BIN, rel), "json") == _reference(x, y, BIN, rel)
+    # |z|_0 < |z|_0011 fails on 0 but |z|_0011 < |z|_0 holds there
+    assert not build_comparison_dfa("0", "0011", BIN, Relation.LT).accepts("0")
+    assert build_comparison_dfa("0011", "0", BIN, Relation.LT).accepts("0")
+
+
+def test_relation_order_does_not_change_the_dfas(binary_grid):
+    ternary = list(nonempty_words_upto(TERN, 3))
+    cases = [(x, y, BIN) for (x, y), o in binary_grid.items() if o.regular]
+    cases += [(x, y, TERN) for x in ternary for y in ternary if decide_regularity(x, y, TERN).regular]
+    want = {}
+    for case in cases:
+        direction = decide_regularity(*case).direction
+        for rel in Relation:
+            dfa = minimize(_unminimized(*case, rel, direction))
+            for fmt in ("json", "dot"):
+                want[(case, rel, fmt)] = serialize(dfa, fmt)
+    rng = random.Random(3)
+
+    def check(case, relations):
+        for rel in relations:
+            dfa = build_comparison_dfa(*case, rel)
+            for fmt in ("json", "dot"):
+                assert serialize(dfa, fmt) == want[(case, rel, fmt)], (case, rel, fmt)
+
+    for case in cases:  # each pair's six relations in a shuffled order
+        relations = list(Relation)
+        rng.shuffle(relations)
+        check(case, relations)
+    for a, b in zip(cases, cases[1:]):  # A, B, A: B's synthesis replaces A's midway
+        relations = list(Relation)
+        rng.shuffle(relations)
+        check(a, relations[:3])
+        check(b, relations)
+        check(a, relations[3:] + relations[:3])
+    assert len(cases) > 100
+
+
+def test_threads_share_the_synthesis_safely():
+    pairs = [("0" * 40, "0" * 39, BIN), ("0" * 8 + "1", "01", BIN), ("0", "0011", TERN)]
+    serial = {(p, rel): _reference(*p, rel) for p in pairs for rel in Relation}
+    results = {}
+
+    def work(seed):
+        rng = random.Random(seed)
+        got = []
+        try:
+            for _ in range(30):
+                order = [(p, rel) for p in pairs for rel in Relation]
+                rng.shuffle(order)
+                for p, rel in order:
+                    got.append(((p, rel), serialize(build_comparison_dfa(*p, rel), "json")))
+        except Exception as exc:  # reported below, from the main thread
+            got = exc
+        results[seed] = got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(results) == [0, 1, 2, 3]
+    for got in results.values():
+        assert not isinstance(got, Exception), repr(got)
+        assert len(got) == 30 * 6 * len(pairs)
+        for key, text in got:
+            assert text == serial[key], key
 
 
 def _assert_certificate_invariants(cert, x, y):
