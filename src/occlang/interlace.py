@@ -25,7 +25,6 @@ from .automata import (
     combine,
     complement,
     grafted_bordered_automaton,
-    kmp_failure,
     matcher_automaton,
     shortest_accepted,
 )
@@ -123,12 +122,20 @@ def in_b_x(y: Word, x: Word) -> bool:
 
 
 def _overlaps(x: Word) -> Iterator[Word]:
-    """x[:p] + x for each period p < |x| of x, shortest (longest border) first."""
-    fail = kmp_failure(x)
-    border = fail[len(x)]
-    while border:
-        yield x[: len(x) - border] + x
-        border = fail[border]
+    """x[:p] + x for each period p < |x| of x, shortest (longest border) first.
+
+    A border x[p:] of 8 or more letters starts with x[:8], so str.find of
+    x[:8] proposes those p; the last 7 periods are tried one by one.
+    """
+    head = x[:8]
+    p = x.find(head, 1)
+    while p > 0:
+        if x.startswith(x[p:]):
+            yield x[:p] + x
+        p = x.find(head, p + 1)
+    for p in range(max(len(x) - 7, 1), len(x)):
+        if x.startswith(x[p:]):
+            yield x[:p] + x
 
 
 def _padded(x: Word, symbols: tuple[str, ...], lengths: Iterable[int]) -> Iterator[Word]:

@@ -108,13 +108,14 @@ def _census(
         )
     counts = [0] * (max_length + 1)
     buckets: list[list[Word]] = [[] for _ in range(max_length + 1)]
+    total = 0
     for word, occ in _walk_counts(patterns, alphabet, max_length):
         if member(occ):
             counts[len(word)] += 1
-            buckets[len(word)].append(word)
-    members: tuple[Word, ...] | None = None
-    if sum(counts) <= member_limit:
-        members = tuple(w for bucket in buckets for w in bucket)
+            total += 1
+            if total <= member_limit:
+                buckets[len(word)].append(word)
+    members = tuple(w for bucket in buckets for w in bucket) if total <= member_limit else None
     return CensusReport(max_length, tuple(counts), members)
 
 

@@ -52,10 +52,6 @@ class Relation(enum.Enum):
     def holds(self, a: int, b: int) -> bool:
         return _HOLDS[self](a, b)
 
-    def complemented(self) -> "Relation":
-        """The relation on the complement language (GT, GE, NE complement LE, LT, EQ)."""
-        return _COMPLEMENT[self]
-
     def mirrored(self) -> "Relation":
         """The relation with both sides swapped: a rel b iff b mirrored(rel) a."""
         return _MIRROR[self]
@@ -63,12 +59,8 @@ class Relation(enum.Enum):
 
 # A relation's value names its test in the operator module.
 _HOLDS = {rel: getattr(operator, rel.value) for rel in Relation}
-# Both maps are involutions; each is spelled out on one half and inverted.
-_COMPLEMENT = {Relation.LT: Relation.GE, Relation.LE: Relation.GT, Relation.EQ: Relation.NE}
-_MIRROR = {Relation.LT: Relation.GT, Relation.LE: Relation.GE, Relation.EQ: Relation.EQ}
-for _table in (_COMPLEMENT, _MIRROR):
-    _table.update({b: a for a, b in _table.items()})
-_MIRROR[Relation.NE] = Relation.NE
+# Mirroring swaps the l and g of a value: lt <-> gt, le <-> ge; eq and ne stay.
+_MIRROR = {rel: Relation(rel.value.translate(str.maketrans("lg", "gl"))) for rel in Relation}
 
 
 class Direction(enum.Enum):
@@ -234,9 +226,10 @@ def _tracker(x: Word, y: Word, alphabet: Alphabet) -> tuple[tuple[tuple[int, ...
     every difference of -2 or below permanent.  A state is a matcher pair
     (sx, sy) with a difference d of +1, 0 or -1, keyed by the integer
     (sx·(|y|+1) + sy)·3 + d + 1; every successor whose difference falls to
-    -2 goes to one sink, whatever the matchers' states.  The sink's key -3
-    reads as d = -1 under the same decoding.  Returns the transition table,
-    with start state 0, and the key of every state.
+    -2 goes to one sink, whatever the matchers' states.  A key's residue
+    mod 3, d + 1, is its difference class; the sink's key -3 falls in the
+    class of d = -1, which every relation treats as it treats d <= -2.
+    Returns the transition table, with start state 0, and every state's key.
     """
     tx = matcher_automaton(x, alphabet, MatcherMode.COUNTING).transitions
     ty = matcher_automaton(y, alphabet, MatcherMode.COUNTING).transitions
@@ -269,26 +262,21 @@ def _tracker(x: Word, y: Word, alphabet: Alphabet) -> tuple[tuple[tuple[int, ...
     return tuple(rows), keys
 
 
-# The residues d + 1 (mod 3) of the accepting tracker keys; the sink's is 0.
-_RESIDUES = {Relation.LT: (0,), Relation.LE: (0, 1), Relation.EQ: (1,)}
+# The residues r = d + 1 of the tracker keys each relation accepts: those with d rel 0.
+_RESIDUES = {rel: frozenset(r for r in range(3) if rel.holds(r - 1, 0)) for rel in Relation}
 
 
-def _tracker_dfa(x: Word, y: Word, alphabet: Alphabet, rel: Relation) -> Dfa:
-    """The tracker of x interlaced by y, accepting the words of LT, LE or EQ."""
-    return _accepting(alphabet, *_tracker(x, y, alphabet), rel)
-
-
-def _accepting(alphabet: Alphabet, rows: tuple, keys: list[int], rel: Relation) -> Dfa:
-    residues = _RESIDUES[rel]
+def _accepting(alphabet: Alphabet, rows: tuple, keys: list[int], residues: frozenset[int]) -> Dfa:
+    """The tracker (rows, keys) accepting the states whose keys have the given residues."""
     return Dfa(alphabet, rows, 0, frozenset(i for i, key in enumerate(keys) if key % 3 in residues))
 
 
 @lru_cache(maxsize=1)
-def _synthesis(x: Word, y: Word, alphabet: Alphabet) -> tuple[bool, tuple, dict[Relation, Dfa]]:
+def _synthesis(x: Word, y: Word, alphabet: Alphabet) -> tuple:
     """The synthesis of the most recent regular (x, y, alphabet); a non-regular pair raises.
 
-    Holds whether the pair is swapped so that x is interlaced by y, the
-    oriented tracker, and the minimal LT, LE and EQ DFAs built so far.
+    Holds whether the pair is swapped so that x is interlaced by y, the oriented
+    tracker, the residues of its keys, and the minimal DFAs built so far.
     """
     outcome = decide_regularity(x, y, alphabet)
     if not outcome.regular:
@@ -297,25 +285,29 @@ def _synthesis(x: Word, y: Word, alphabet: Alphabet) -> tuple[bool, tuple, dict[
             certificate=outcome.certificate,
         )
     mirror = outcome.direction is Direction.Y_INTERLACED_BY_X
-    return mirror, _tracker(y, x, alphabet) if mirror else _tracker(x, y, alphabet), {}
+    rows, keys = _tracker(y, x, alphabet) if mirror else _tracker(x, y, alphabet)
+    return mirror, rows, keys, frozenset(key % 3 for key in keys), {}
 
 
 def build_comparison_dfa(x: Word, y: Word, alphabet: Alphabet, rel: Relation) -> Dfa:
     """Minimal DFA for { z : |z|_x rel |z|_y }, for a regular instance.
 
     When only y is interlaced by x the construction runs with the roles
-    swapped and the relation mirrored; GT, GE and NE are complements of LE,
-    LT and EQ.  Raises NotRegularError carrying the certificate otherwise.
+    swapped and the relation mirrored.  Raises NotRegularError carrying the
+    certificate otherwise.
 
     The six relations of a pair share one synthesis, kept for the most recent
-    (x, y, alphabet) only: one decision, one tracker and the minimal LT, LE
-    and EQ DFAs, each minimized the first time it is asked for.  A repeated
-    call may therefore return the same immutable Dfa.
+    (x, y, alphabet) only: one decision, one tracker, and one minimal DFA per
+    split the relations make of the difference classes the tracker reaches
+    (d = -1 with the sink, 0, +1), keyed by the side holding the start state
+    (d = 0); a relation accepting the other side gets the complement.  So
+    with no +1 class EQ and LT are complements and LE is trivial: two
+    minimizations.  A repeated call may return the same immutable Dfa.
     """
-    mirror, tracker, minimal = _synthesis(x, y, alphabet)
-    rel = rel.mirrored() if mirror else rel
-    primary = rel if rel in _RESIDUES else rel.complemented()
-    dfa = minimal.get(primary)
+    mirror, rows, keys, present, minimal = _synthesis(x, y, alphabet)
+    accepted = present & _RESIDUES[rel.mirrored() if mirror else rel]
+    side = accepted if 1 in accepted else present - accepted
+    dfa = minimal.get(side)
     if dfa is None:
-        dfa = minimal[primary] = minimize(_accepting(alphabet, *tracker, primary))
-    return dfa if primary is rel else complement(dfa)
+        dfa = minimal[side] = minimize(_accepting(alphabet, rows, keys, side))
+    return dfa if side is accepted else complement(dfa)

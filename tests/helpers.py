@@ -11,6 +11,7 @@ from itertools import product
 import numpy as np
 
 from occlang import Alphabet, Dfa
+from occlang.regularity import _tracker
 
 BIN = Alphabet("01")
 TERN = Alphabet("012")
@@ -112,3 +113,14 @@ def is_minimal(dfa: Dfa) -> bool:
         table = grown
     off_diagonal = ~np.eye(dfa.state_count, dtype=bool)
     return bool(table[off_diagonal].all())
+
+
+def tracker_dfa(x, y, alphabet, rel):
+    """The unminimized difference tracker of x interlaced by y, accepting the words of rel.
+
+    A state's key k holds the difference d = k % 3 - 1; the sink's key -3 reads
+    as d = -1, which every relation treats as it treats the d <= -2 the sink
+    stands for.  A state accepts when d rel 0.
+    """
+    rows, keys = _tracker(x, y, alphabet)
+    return Dfa(alphabet, rows, 0, frozenset(i for i, k in enumerate(keys) if rel.holds(k % 3 - 1, 0)))

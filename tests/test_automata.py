@@ -23,7 +23,6 @@ from occlang import (
 )
 from occlang.automata import kmp_failure
 from occlang.errors import AlphabetMismatchError, EmptyPatternError, ForeignSymbolError, MalformedJsonError
-from occlang.regularity import _tracker_dfa
 
 from helpers import (
     BIN,
@@ -32,6 +31,7 @@ from helpers import (
     level_acceptance,
     level_mark_counts,
     nonempty_words_upto,
+    tracker_dfa,
     word_from_index,
     words_upto,
 )
@@ -235,11 +235,11 @@ def _trackers():
     rng = random.Random(2012)
     w = "".join(rng.choice("012") for _ in range(30))
     return [
-        _tracker_dfa("0" * 12, "0" * 11, BIN, Relation.EQ),
-        _tracker_dfa("0" * 9 + "1", "01", BIN, Relation.LE),
-        _tracker_dfa("000100", "1000", BIN, Relation.LT),
-        _tracker_dfa("0" * 8, "0000", TERN, Relation.EQ),
-        _tracker_dfa(w, w[11:14], TERN, Relation.LE),
+        tracker_dfa("0" * 12, "0" * 11, BIN, Relation.EQ),
+        tracker_dfa("0" * 9 + "1", "01", BIN, Relation.LE),
+        tracker_dfa("000100", "1000", BIN, Relation.LT),
+        tracker_dfa("0" * 8, "0000", TERN, Relation.EQ),
+        tracker_dfa(w, w[11:14], TERN, Relation.LE),
     ]
 
 

@@ -278,6 +278,41 @@ def test_bordered_walk_examples():
         interlaced("", "0", BIN)
 
 
+def _border_chain_overlaps(x):
+    """x[:p] + x for each period p of x, read off the failure table's border chain."""
+    fail = automata.kmp_failure(x)
+    out = []
+    border = fail[len(x)]
+    while border:
+        out.append(x[: len(x) - border] + x)
+        border = fail[border]
+    return out
+
+
+def test_overlaps_follow_the_border_chain():
+    rng = random.Random(11)
+    words = []
+    for _ in range(3000):
+        symbols = rng.choice(["01", "012", "ab"])
+        n = rng.randint(2, 60)
+        b = min(rng.choice([7, 8, 9, rng.randint(1, 20)]), n - 1)
+        # a planted border of b letters; when 2b > n it overlaps itself, so the
+        # word has the period n - b
+        q = n - b if 2 * b > n else b
+        head = "".join(rng.choice(symbols) for _ in range(q))
+        middle = "".join(rng.choice(symbols) for _ in range(n - 2 * q)) if q == b else ""
+        words.append(head + middle + head if q == b else (head * n)[:n])
+    for n in list(range(1, 40)) + [199, 1000, 2000]:
+        words += ["0" * n, ("01" * n)[:n], "a" * n]
+    words += ["".join(rng.choice("01") for _ in range(60)) for _ in range(300)]
+    planted = 0
+    for x in words:
+        got = list(interlace._overlaps(x))
+        assert got == _border_chain_overlaps(x), x
+        planted += any(len(z) - len(x) in (len(x) - 7, len(x) - 8, len(x) - 9) for z in got)
+    assert planted > 100  # borders of 7, 8 and 9 letters, either side of the 8-letter head
+
+
 def test_no_decision_path_builds_an_automaton(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("an automaton was built on a decision path")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from occlang import (
@@ -77,6 +79,26 @@ def test_census_has_no_recursion_depth_limit():
     assert greater.per_length_counts == (0,) + (1,) * 5000
     equal = bounded_equal_census(["a", "aa"], UNARY, 5000, budget=5000)
     assert equal.per_length_counts == (1,) + (0,) * 5000 and equal.members == ("",)
+
+
+def test_census_keeps_no_members_past_the_limit():
+    def peak(rel):
+        tracemalloc.start()
+        try:
+            report = bounded_census("a", "aa", UNARY, rel, 5000, budget=5000, member_limit=0)
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    greater, greater_peak = peak(Relation.GT)
+    equal, equal_peak = peak(Relation.EQ)
+    assert greater.members is None and equal.members is None
+    # GT has 5000 members of 2500 letters on average, EQ one; neither list is kept
+    assert greater_peak <= 2 * equal_peak, (greater_peak, equal_peak)
+    # at the limit the members are all kept, in length-lexicographic order; past it none are
+    small = bounded_census("0", "1", BIN, Relation.LT, 3, member_limit=6)
+    assert small.members == ("1", "11", "011", "101", "110", "111")
+    assert bounded_census("0", "1", BIN, Relation.LT, 3, member_limit=5).members is None
 
 
 def _census_by_scan(words, counts, member):

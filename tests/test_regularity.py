@@ -29,7 +29,6 @@ from occlang.errors import (
     NotRegularError,
 )
 from occlang import regularity
-from occlang.regularity import _tracker_dfa
 
 from helpers import (
     BIN,
@@ -39,6 +38,7 @@ from helpers import (
     level_mark_counts,
     nonempty_words_upto,
     scan_count,
+    tracker_dfa,
 )
 
 MAX_WORD_LEN = 12
@@ -257,12 +257,10 @@ def test_difference_saturation(binary_grid, binary_counts):
 
 
 def _unminimized(x, y, alphabet, rel, direction):
-    """The tracker that build_comparison_dfa minimizes, or its complement."""
+    """The oriented tracker of the pair, accepting the words of rel."""
     if direction is Direction.Y_INTERLACED_BY_X:
         x, y, rel = y, x, rel.mirrored()
-    if rel in (Relation.GT, Relation.GE, Relation.NE):
-        return complement(_tracker_dfa(x, y, alphabet, rel.complemented()))
-    return _tracker_dfa(x, y, alphabet, rel)
+    return tracker_dfa(x, y, alphabet, rel)
 
 
 def _sinks(dfa):
@@ -270,10 +268,10 @@ def _sinks(dfa):
 
 
 def test_tracker_state_counts():
-    small = _tracker_dfa("0" * 12, "0" * 11, BIN, Relation.EQ)
+    small = tracker_dfa("0" * 12, "0" * 11, BIN, Relation.EQ)
     assert small.state_count == 25
     assert len(_sinks(small)) == 1
-    big = _tracker_dfa("0" * 2000, "0" * 1999, BIN, Relation.EQ)
+    big = tracker_dfa("0" * 2000, "0" * 1999, BIN, Relation.EQ)
     assert big.state_count == 4001
     assert minimize(big).state_count == 2000
 
@@ -290,7 +288,7 @@ def test_tracker_has_at_most_one_sink(binary_grid):
             x, y = y, x
         # Over two or more symbols no live matcher pair loops on every symbol,
         # so a state whose every successor is itself can only be the one sink.
-        sinks = len(_sinks(_tracker_dfa(x, y, alphabet, Relation.EQ)))
+        sinks = len(_sinks(tracker_dfa(x, y, alphabet, Relation.EQ)))
         assert sinks <= 1, (x, y, alphabet)
         with_sink += sinks
     assert with_sink > 0
@@ -320,12 +318,14 @@ def _reference(x, y, alphabet, rel, fmt="json"):
     return serialize(minimize(_unminimized(x, y, alphabet, rel, direction)), fmt)
 
 
-def test_six_relations_share_one_synthesis(monkeypatch):
-    calls = Counter()
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the calls build_comparison_dfa makes into the decision and automata layers."""
+    counts = Counter()
 
     def counted(name, fn):
         def wrapper(*args):
-            calls[name] += 1
+            counts[name] += 1
             return fn(*args)
 
         return wrapper
@@ -333,10 +333,18 @@ def test_six_relations_share_one_synthesis(monkeypatch):
     for name in ("decide_regularity", "matcher_automaton", "minimize"):
         monkeypatch.setattr(regularity, name, counted(name, getattr(regularity, name)))
     regularity._synthesis.cache_clear()
+    return counts
+
+
+def test_six_relations_share_one_synthesis(calls):
     rng = random.Random(8)
-    pairs = [("01", "10", BIN), ("0", "0011", BIN), ("0" * 12, "0" * 11, BIN), ("0" * 5 + "1", "01", BIN),
-             ("0", "0", BIN), ("0000", "00", TERN), ("01", "10", Alphabet("10"))]
-    for x, y, alphabet in pairs:
+    # The last entry is how many splits the six relations make of the
+    # difference classes present: one per class, the trivial split included
+    # (d <= -1, 0 and +1 for 01/10; d = 0 alone for 0/0; no +1 class otherwise).
+    pairs = [("01", "10", BIN, 3), ("0", "0011", BIN, 2), ("0" * 12, "0" * 11, BIN, 2),
+             ("0" * 5 + "1", "01", BIN, 2), ("0", "0", BIN, 1), ("0000", "00", TERN, 2),
+             ("01", "10", Alphabet("10"), 3)]
+    for x, y, alphabet, splits in pairs:
         for _ in range(3):
             regularity._synthesis.cache_clear()
             calls.clear()
@@ -346,7 +354,7 @@ def test_six_relations_share_one_synthesis(monkeypatch):
                 build_comparison_dfa(x, y, alphabet, rel)
             assert calls["decide_regularity"] == 1, (x, y, relations)
             assert calls["matcher_automaton"] == 2, (x, y, relations)
-            assert 1 <= calls["minimize"] <= 3, (x, y, relations)
+            assert calls["minimize"] == splits, (x, y, relations)
         # asked again, the same pair is served from the synthesis, all six relations
         calls.clear()
         for rel in Relation:
@@ -357,6 +365,48 @@ def test_six_relations_share_one_synthesis(monkeypatch):
     calls.clear()
     build_comparison_dfa("01", "10", BIN, Relation.NE)
     assert calls == {"decide_regularity": 1, "matcher_automaton": 2, "minimize": 1}
+
+
+def _three_class_pairs():
+    family = [("0" * k + "1", "1" + "0" * k) for k in range(1, 21)]
+    return family + [(y, x) for x, y in family] + [("01", "10"), ("000100", "1000")]
+
+
+def test_three_class_pairs_minimize_once_per_split(calls):
+    rng = random.Random(5)
+    for x, y in _three_class_pairs():
+        regularity._synthesis.cache_clear()
+        calls.clear()
+        relations = list(Relation)
+        rng.shuffle(relations)
+        for rel in relations:
+            dfa = build_comparison_dfa(x, y, BIN, rel)
+            for fmt in ("json", "dot"):
+                assert serialize(dfa, fmt) == _reference(x, y, BIN, rel, fmt), (x, y, rel, fmt)
+        # LT/GE, LE/GT and EQ/NE: three splits, one minimization each
+        assert calls["minimize"] == 3, (x, y, relations)
+        assert all(build_comparison_dfa(x, y, BIN, rel).state_count > 1 for rel in Relation)
+
+
+def test_two_class_pairs_complement_lt_for_eq(calls):
+    rng = random.Random(6)
+    pairs = [("0" * n, "0" * (n - 1), BIN) for n in (2, 12, 40)]
+    pairs += [("0" * 9 + "1", "01", BIN), ("0000", "00", TERN)]
+    for _ in range(10):
+        w = "".join(rng.choice("01") for _ in range(30))
+        i = rng.randrange(27)
+        pairs.append((w, w[i : i + 3], BIN))
+    for x, y, alphabet in pairs:
+        regularity._synthesis.cache_clear()
+        calls.clear()
+        lt = build_comparison_dfa(x, y, alphabet, Relation.LT)
+        eq = build_comparison_dfa(x, y, alphabet, Relation.EQ)
+        assert calls["minimize"] == 1, (x, y)
+        for fmt in ("json", "dot"):
+            assert serialize(eq, fmt) == serialize(complement(lt), fmt), (x, y, fmt)
+            assert serialize(eq, fmt) == _reference(x, y, alphabet, Relation.EQ, fmt), (x, y, fmt)
+        assert build_comparison_dfa(x, y, alphabet, Relation.LE).state_count == 1
+        assert calls["minimize"] == 2, (x, y)
 
 
 def test_synthesis_is_keyed_by_both_patterns_and_the_alphabet():
