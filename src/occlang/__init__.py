@@ -20,11 +20,9 @@ from .words import (
     count_occurrences,
     decompose_bordered,
     power_count_params,
-    primitive_root,
 )
 from .automata import (
     Dfa,
-    MatcherMode,
     combine,
     complement,
     from_json,
@@ -80,7 +78,6 @@ __all__ = [
     "Dfa",
     "Direction",
     "InterlaceVerdict",
-    "MatcherMode",
     "Method",
     "NonRegularityCertificate",
     "PowerCountParams",
@@ -116,7 +113,6 @@ __all__ = [
     "minimize",
     "non_regularity_certificate",
     "power_count_params",
-    "primitive_root",
     "serialize",
     "shortest_accepted",
     "straddle_count",

@@ -4,7 +4,6 @@ and DOT/JSON serialization."""
 
 from __future__ import annotations
 
-import enum
 import json
 from collections import deque
 from typing import Iterator, NamedTuple
@@ -23,7 +22,6 @@ class _DfaFields(NamedTuple):
     transitions: tuple[tuple[int, ...], ...]
     start: int
     accepting: frozenset[int]
-    match_mark: frozenset[int] | None = None
 
 
 def _out_of_range(states, n: int) -> bool:
@@ -34,15 +32,13 @@ class Dfa(_DfaFields):
     """Complete deterministic automaton.
 
     transitions[state][symbol_index] gives the successor state; every state
-    has a transition for every symbol.  match_mark optionally flags the states
-    where a full pattern occurrence has just ended (used for occurrence
-    counting, independent of acceptance).  Instances are immutable and safe to
+    has a transition for every symbol.  Instances are immutable and safe to
     share between threads; construction and _replace validate the fields.
     """
 
     __slots__ = ()
 
-    def __new__(cls, alphabet, transitions, start, accepting, match_mark=None):
+    def __new__(cls, alphabet, transitions, start, accepting):
         n = len(transitions)
         if n < 1:
             raise ValueError("a DFA needs at least one state")
@@ -54,9 +50,7 @@ class Dfa(_DfaFields):
             raise ValueError("start state out of range")
         if _out_of_range(accepting, n):
             raise ValueError("accepting state out of range")
-        if match_mark is not None and _out_of_range(match_mark, n):
-            raise ValueError("match mark state out of range")
-        return super().__new__(cls, alphabet, transitions, start, accepting, match_mark)
+        return super().__new__(cls, alphabet, transitions, start, accepting)
 
     @classmethod
     def _make(cls, iterable):
@@ -83,57 +77,30 @@ class Dfa(_DfaFields):
     def accepts(self, word: Word) -> bool:
         return self.final_state(word) in self.accepting
 
-    def count_marks(self, word: Word) -> int:
-        """How many times a run over word enters a match-marked state."""
-        marks = self.match_mark or frozenset()
-        return sum(1 for state in self.run(word) if state in marks)
 
-
-class MatcherMode(enum.Enum):
-    COUNTING = "counting"
-    ABSORBING_SUBWORD = "absorbing-subword"
-    SUFFIX_ONLY = "suffix-only"
-
-
-def kmp_failure(p: Word) -> list[int]:
-    """fail[i] = length of the longest proper border of p[:i] (fail[0] = 0)."""
-    fail = [0] * (len(p) + 1)
-    k = 0
-    for i in range(1, len(p)):
-        while k and p[i] != p[k]:
-            k = fail[k]
-        if p[i] == p[k]:
-            k += 1
-        fail[i + 1] = k
-    return fail
-
-
-def matcher_automaton(p: Word, alphabet: Alphabet, mode: MatcherMode = MatcherMode.COUNTING) -> Dfa:
-    """Failure-function pattern matcher with |p|+1 states.
+def matcher_automaton(p: Word, alphabet: Alphabet) -> Dfa:
+    """Knuth-Morris-Pratt matcher for p: |p|+1 states, accepting the words ending in p.
 
     State i asserts that the longest suffix of the input matching a prefix of
-    p has length i.  COUNTING keeps matching through overlaps after a full
-    match and marks state |p| (one mark visit per occurrence);
-    ABSORBING_SUBWORD turns state |p| into an accepting sink, recognizing the
-    words that contain p; SUFFIX_ONLY accepts exactly the words ending in p.
-    Row i is a copy of row fail[i] (all zeros for i = 0) with the entry for
-    p[i] patched to i + 1; the last row is row fail[|p|] unpatched.
+    p has length i, so a run enters state |p| once per occurrence of p,
+    overlapping occurrences included.  Row i is a copy of the row of the
+    border state b, the state reached on p[1:i] (row 0 is all zeros), with
+    the entry for p[i] patched to i + 1; b then moves on p[i].  The last row
+    is row b unpatched.
     """
     if not p:
         raise EmptyPatternError("matcher pattern must be nonempty")
     alphabet.require(p)
-    m = len(p)
-    fail = kmp_failure(p)
-    k = len(alphabet)
-    rows: list[tuple[int, ...]] = []
-    for i, a in enumerate(p):
-        row = list(rows[fail[i]]) if i else [0] * k
-        row[alphabet.index(a)] = i + 1
+    rows = [tuple(int(a == p[0]) for a in alphabet.symbols)]
+    b = 0
+    for i in range(1, len(p)):
+        si = alphabet.index(p[i])
+        row = list(rows[b])
+        row[si] = i + 1
         rows.append(tuple(row))
-    rows.append((m,) * k if mode is MatcherMode.ABSORBING_SUBWORD else rows[fail[m]])
-    if mode is MatcherMode.COUNTING:
-        return Dfa(alphabet, tuple(rows), 0, frozenset(), match_mark=frozenset({m}))
-    return Dfa(alphabet, tuple(rows), 0, frozenset({m}))
+        b = rows[b][si]
+    rows.append(rows[b])
+    return Dfa(alphabet, tuple(rows), 0, frozenset({len(p)}))
 
 
 def grafted_bordered_automaton(y: Word, alphabet: Alphabet) -> Dfa:
@@ -149,7 +116,7 @@ def grafted_bordered_automaton(y: Word, alphabet: Alphabet) -> Dfa:
         raise EmptyPatternError("border must be nonempty")
     alphabet.require(y)
     m = len(y)
-    kmp = matcher_automaton(y, alphabet, MatcherMode.COUNTING).transitions
+    kmp = matcher_automaton(y, alphabet).transitions
     dead = m + 1
     base = m + 2  # suffix-tracker states occupy base .. base+m
     rows: list[tuple[int, ...]] = []
@@ -201,7 +168,7 @@ def combine(a: Dfa, b: Dfa) -> Dfa:
 def complement(a: Dfa) -> Dfa:
     """Invert the accepting set; the DFA is complete, so this is exact."""
     inverted = frozenset(range(a.state_count)) - a.accepting
-    return Dfa(a.alphabet, a.transitions, a.start, inverted, a.match_mark)
+    return Dfa(a.alphabet, a.transitions, a.start, inverted)
 
 
 def minimize(a: Dfa) -> Dfa:
@@ -324,14 +291,12 @@ def to_json(a: Dfa) -> str:
         "state_count": a.state_count,
         "start": a.start,
         "accepting": sorted(a.accepting),
+        "transitions": [
+            [s, sym, a.transitions[s][si]]
+            for s in range(a.state_count)
+            for si, sym in enumerate(a.alphabet.symbols)
+        ],
     }
-    if a.match_mark is not None:
-        doc["match_mark"] = sorted(a.match_mark)
-    doc["transitions"] = [
-        [s, sym, a.transitions[s][si]]
-        for s in range(a.state_count)
-        for si, sym in enumerate(a.alphabet.symbols)
-    ]
     return json.dumps(doc, indent=2)
 
 
@@ -348,6 +313,9 @@ def _state_set(items, key: str) -> frozenset[int]:
     return frozenset(items)
 
 
+_JSON_KEYS = frozenset({"alphabet", "state_count", "start", "accepting", "transitions"})
+
+
 def from_json(text: str) -> Dfa:
     """Parse the JSON produced by to_json, validating the schema."""
     try:
@@ -356,6 +324,9 @@ def from_json(text: str) -> Dfa:
         raise MalformedJsonError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise MalformedJsonError("top-level JSON value must be an object")
+    unknown = sorted(set(doc) - _JSON_KEYS)
+    if unknown:
+        raise MalformedJsonError(f"unknown DFA document key(s): {', '.join(map(repr, unknown))}")
     try:
         symbols = doc["alphabet"]
         if not isinstance(symbols, list):
@@ -364,7 +335,6 @@ def from_json(text: str) -> Dfa:
         n = doc["state_count"]
         start = doc["start"]
         accepting = _state_set(doc["accepting"], "accepting")
-        mark = _state_set(doc["match_mark"], "match_mark") if "match_mark" in doc else None
         triples = doc["transitions"]
     except (KeyError, TypeError, ValueError, AlphabetTooSmallError) as exc:
         raise MalformedJsonError(f"bad DFA document: {exc}") from None
@@ -389,14 +359,9 @@ def from_json(text: str) -> Dfa:
         if table[src][si] is not None:
             raise MalformedJsonError(f"duplicate transition for state {src}, symbol {sym!r}")
         table[src][si] = dst
+    rows = tuple(tuple(row) for row in table)
     try:
-        return Dfa(
-            alphabet,
-            tuple(tuple(row) for row in table),  # type: ignore[arg-type]
-            start,
-            accepting,
-            match_mark=mark,
-        )
+        return Dfa(alphabet, rows, start, accepting)  # type: ignore[arg-type]
     except (TypeError, ValueError) as exc:
         raise MalformedJsonError(f"bad DFA document: {exc}") from None
 

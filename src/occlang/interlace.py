@@ -21,9 +21,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .automata import (
     Dfa,
-    MatcherMode,
     combine,
-    complement,
     grafted_bordered_automaton,
     matcher_automaton,
     shortest_accepted,
@@ -58,15 +56,15 @@ class InterlaceVerdict(NamedTuple):
 def avoider_automaton(x: Word, y: Word, alphabet: Alphabet) -> Dfa:
     """DFA for the y-bordered words that contain no occurrence of x.
 
-    Product of the 2|y|+3-state bordered-word recognizer with the complement
-    of the x-subword matcher, so the full construction never exceeds
-    (|x|+1)(2|y|+3) states.
+    Product of the 2|y|+3-state bordered-word recognizer with the x-avoider,
+    the x-matcher with state |x| made a rejecting sink, so the full
+    construction never exceeds (|x|+1)(2|y|+3) states.
     """
     if not x or not y:
         raise EmptyPatternError("avoider needs nonempty pattern and border")
     bordered = grafted_bordered_automaton(y, alphabet)
-    containing = matcher_automaton(x, alphabet, MatcherMode.ABSORBING_SUBWORD)
-    return combine(bordered, complement(containing))
+    rows = matcher_automaton(x, alphabet).transitions[:-1] + ((len(x),) * len(alphabet),)
+    return combine(bordered, Dfa(alphabet, rows, 0, frozenset(range(len(x)))))
 
 
 def is_interlaced_by(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .automata import Dfa, MatcherMode, matcher_automaton
+from .automata import Dfa, matcher_automaton
 from .errors import BudgetExceededError, EmptyPatternError
 from .regularity import Relation
 from .words import Alphabet, Word, border_lengths
@@ -33,7 +33,7 @@ class CensusReport(NamedTuple):
 
 @lru_cache(maxsize=256)
 def _counting_matcher(pattern: Word, symbols: tuple[str, ...]) -> Dfa:
-    return matcher_automaton(pattern, Alphabet(symbols), MatcherMode.COUNTING)
+    return matcher_automaton(pattern, Alphabet(symbols))
 
 
 def _count_with_matcher(z: Word, pattern: Word, symbols: tuple[str, ...]) -> int:
@@ -72,7 +72,7 @@ def _walk_counts(patterns: Sequence[Word], alphabet: Alphabet, max_length: int) 
     pattern.  An explicit stack, with children pushed in reverse symbol order,
     keeps the call depth constant whatever max_length is.
     """
-    tables = [matcher_automaton(p, alphabet, MatcherMode.COUNTING).transitions for p in patterns]
+    tables = [matcher_automaton(p, alphabet).transitions for p in patterns]
     hits = [len(p) for p in patterns]
     symbols = alphabet.symbols
     zero = (0,) * len(patterns)
@@ -189,8 +189,8 @@ def bounded_equivalence(a: Dfa, x: Word, y: Word, rel: Relation, max_length: int
     if (a.start in accepting) != holds(0, 0):
         return ""
     ta = a.transitions
-    tx = matcher_automaton(x, alphabet, MatcherMode.COUNTING).transitions
-    ty = matcher_automaton(y, alphabet, MatcherMode.COUNTING).transitions
+    tx = matcher_automaton(x, alphabet).transitions
+    ty = matcher_automaton(y, alphabet).transitions
     hit_x, hit_y = len(x), len(y)
     # Depth-first with an explicit stack, children pushed in reverse symbol
     # order, so the words of one length are met in lexicographic order.  An

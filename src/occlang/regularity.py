@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 from .automata import (
     Dfa,
-    MatcherMode,
     complement,
     matcher_automaton,
     minimize,
@@ -231,8 +230,8 @@ def _tracker(x: Word, y: Word, alphabet: Alphabet) -> tuple[tuple[tuple[int, ...
     class of d = -1, which every relation treats as it treats d <= -2.
     Returns the transition table, with start state 0, and every state's key.
     """
-    tx = matcher_automaton(x, alphabet, MatcherMode.COUNTING).transitions
-    ty = matcher_automaton(y, alphabet, MatcherMode.COUNTING).transitions
+    tx = matcher_automaton(x, alphabet).transitions
+    ty = matcher_automaton(y, alphabet).transitions
     hit_x, hit_y = len(x), len(y)
     width = hit_y + 1
     k = len(alphabet)

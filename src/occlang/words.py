@@ -177,17 +177,6 @@ def power_count_params(dec: BorderDecomposition, y: Word) -> PowerCountParams:
     return PowerCountParams(c=c, d=d)
 
 
-def primitive_root(w: Word) -> tuple[Word, int]:
-    """Shortest word r and exponent k >= 1 with w = r^k."""
-    if not w:
-        raise EmptyWordError("the empty word has no primitive root")
-    n = len(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and w[:d] * (n // d) == w:
-            return w[:d], n // d
-    raise AssertionError("unreachable: every word is a power of itself")
-
-
 def commutes(x: Word, y: Word) -> bool:
     """Whether xy = yx; for nonempty words this holds iff they share a primitive root."""
     return x + y == y + x

@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 
-from occlang import Alphabet, Dfa
+from occlang import Alphabet, Dfa, matcher_automaton
 from occlang.regularity import _tracker
 
 BIN = Alphabet("01")
@@ -56,11 +56,11 @@ def level_acceptance(dfa: Dfa, max_length: int):
 
 
 def level_mark_counts(matcher: Dfa, max_length: int):
-    """Per length L, the number of match-mark visits for each word (lex order)."""
+    """Per length L, the number of entries into an accepting state for each word (lex order)."""
     k = len(matcher.alphabet)
     trans = np.array(matcher.transitions, dtype=np.int64)
     marks = np.zeros(matcher.state_count, dtype=np.int64)
-    for s in matcher.match_mark or ():
+    for s in matcher.accepting:
         marks[s] = 1
     states = np.array([matcher.start], dtype=np.int64)
     counts = np.array([0], dtype=np.int64)
@@ -72,6 +72,17 @@ def level_mark_counts(matcher: Dfa, max_length: int):
         counts = np.repeat(counts, k) + marks[states]
         out.append(counts)
     return out
+
+
+def containing(p, alphabet):
+    """The words that contain p: the KMP matcher with state |p| made an accepting sink."""
+    m = matcher_automaton(p, alphabet)
+    return m._replace(transitions=m.transitions[:-1] + ((len(p),) * len(alphabet),))
+
+
+def primitive_root(w):
+    """The shortest r with w = r^k for some k, by trying every length."""
+    return next(w[:d] for d in range(1, len(w) + 1) if w[:d] * (len(w) // d) == w)
 
 
 def word_from_index(alphabet, length, index):

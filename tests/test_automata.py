@@ -7,7 +7,6 @@ from occlang import (
     Alphabet,
     Borderedness,
     Dfa,
-    MatcherMode,
     Relation,
     build_comparison_dfa,
     classify_bordered,
@@ -21,12 +20,12 @@ from occlang import (
     serialize,
     shortest_accepted,
 )
-from occlang.automata import kmp_failure
 from occlang.errors import AlphabetMismatchError, EmptyPatternError, ForeignSymbolError, MalformedJsonError
 
 from helpers import (
     BIN,
     TERN,
+    containing,
     is_minimal,
     level_acceptance,
     level_mark_counts,
@@ -39,27 +38,35 @@ from helpers import (
 AB = Alphabet("ab")
 
 
-def test_matcher_counting_examples():
-    m = matcher_automaton("ab", AB, MatcherMode.COUNTING)
-    assert m.state_count == 3
-    assert m.count_marks("abab") == count_occurrences("abab", "ab") == 2
+def _entries(m, w):
+    """How many times the run of m over w enters an accepting state."""
+    return sum(1 for state in m.run(w) if state in m.accepting)
 
-    m = matcher_automaton("1000", BIN, MatcherMode.COUNTING)
-    assert m.count_marks("0001000") == count_occurrences("0001000", "1000") == 1
+
+def test_matcher_counting_examples():
+    m = matcher_automaton("ab", AB)
+    assert m.state_count == 3
+    assert _entries(m, "abab") == count_occurrences("abab", "ab") == 2
+
+    m = matcher_automaton("1000", BIN)
+    assert _entries(m, "0001000") == count_occurrences("0001000", "1000") == 1
+
+    m = matcher_automaton("aa", Alphabet("a"))
+    assert _entries(m, "aaaa") == count_occurrences("aaaa", "aa") == 3
 
 
 def test_matcher_absorbing_accepts_containment():
-    m = matcher_automaton("a", Alphabet("a"), MatcherMode.ABSORBING_SUBWORD)
+    m = containing("a", Alphabet("a"))
     assert not m.accepts("")
     assert all(m.accepts("a" * n) for n in range(1, 6))
 
-    m = matcher_automaton("10", BIN, MatcherMode.ABSORBING_SUBWORD)
+    m = containing("10", BIN)
     for w in words_upto(BIN, 8):
         assert m.accepts(w) == ("10" in w)
 
 
 def test_matcher_suffix_only():
-    m = matcher_automaton("10", BIN, MatcherMode.SUFFIX_ONLY)
+    m = matcher_automaton("10", BIN)
     for w in words_upto(BIN, 8):
         assert m.accepts(w) == w.endswith("10")
 
@@ -84,21 +91,18 @@ def test_matcher_rows_match_their_definition(alphabet, max_len):
             tuple(_longest_prefix_suffix(p[:i] + a, p) for a in alphabet.symbols)
             for i in range(m)
         ]
-        fail = kmp_failure(p)
-        for mode in MatcherMode:
-            rows = matcher_automaton(p, alphabet, mode).transitions
-            assert rows[:m] == tuple(expected), (p, mode)
-            if mode is MatcherMode.ABSORBING_SUBWORD:
-                assert rows[m] == (m,) * len(alphabet), p
-            else:
-                assert rows[m] == rows[fail[m]], (p, mode)
+        # after a full match the next state is the longest prefix of p ending p[1:] + a
+        expected.append(tuple(_longest_prefix_suffix(p[1:] + a, p) for a in alphabet.symbols))
+        matcher = matcher_automaton(p, alphabet)
+        assert matcher.transitions == tuple(expected), p
+        assert matcher.start == 0 and matcher.accepting == frozenset({m}), p
 
 
 def test_matcher_counting_matches_occurrences_exhaustively():
-    # all |p| <= 4, counting marks over every binary word of length <= 12
+    # all |p| <= 4, counting entries into state |p| over every binary word of length <= 12
     max_len = 12
     for p in nonempty_words_upto(BIN, 4):
-        m = matcher_automaton(p, BIN, MatcherMode.COUNTING)
+        m = matcher_automaton(p, BIN)
         by_level = level_mark_counts(m, max_len)
         # spot checks pin the level indexing; the full comparison is vectorized
         for length, counts in enumerate(by_level):
@@ -146,7 +150,7 @@ def _starts_with_zero():
 
 
 def test_combine_examples():
-    ends_zero = matcher_automaton("0", BIN, MatcherMode.SUFFIX_ONLY)
+    ends_zero = matcher_automaton("0", BIN)
     both = combine(ends_zero, _starts_with_zero())
     assert both.accepts("00") and not both.accepts("01")
 
@@ -156,7 +160,7 @@ def test_combine_examples():
 
     avoid = combine(
         grafted_bordered_automaton("01", BIN),
-        complement(matcher_automaton("10", BIN, MatcherMode.ABSORBING_SUBWORD)),
+        complement(containing("10", BIN)),
     )
     assert shortest_accepted(avoid) is None
     # cross-check: every 01-bordered word up to length 10 contains 10
@@ -172,8 +176,8 @@ def test_combine_rejects_mismatched_alphabets():
 
 def test_combine_and_complement_membership():
     machines = {
-        "contains 10": matcher_automaton("10", BIN, MatcherMode.ABSORBING_SUBWORD),
-        "ends in 0": matcher_automaton("0", BIN, MatcherMode.SUFFIX_ONLY),
+        "contains 10": containing("10", BIN),
+        "ends in 0": matcher_automaton("0", BIN),
         "01-bordered": grafted_bordered_automaton("01", BIN),
     }
     for a in machines.values():
@@ -192,7 +196,7 @@ def test_combine_and_complement_membership():
 
 
 def test_complement_examples():
-    only_ones = complement(matcher_automaton("0", BIN, MatcherMode.ABSORBING_SUBWORD))
+    only_ones = complement(containing("0", BIN))
     for w in words_upto(BIN, 8):
         assert only_ones.accepts(w) == ("0" not in w)
 
@@ -209,10 +213,10 @@ def test_minimize_figure_one_size():
 def test_minimize_idempotent_and_membership_preserving():
     subjects = [
         grafted_bordered_automaton("010", BIN),
-        matcher_automaton("0110", BIN, MatcherMode.ABSORBING_SUBWORD),
+        containing("0110", BIN),
         combine(
             grafted_bordered_automaton("01", BIN),
-            complement(matcher_automaton("110", BIN, MatcherMode.ABSORBING_SUBWORD)),
+            complement(containing("110", BIN)),
         ),
     ]
     for a in subjects:
@@ -312,8 +316,8 @@ def test_shortest_accepted_examples():
 def test_shortest_accepted_is_length_lex_minimal():
     machines = [
         grafted_bordered_automaton("010", BIN),
-        matcher_automaton("110", BIN, MatcherMode.ABSORBING_SUBWORD),
-        complement(matcher_automaton("0", BIN, MatcherMode.ABSORBING_SUBWORD)),
+        containing("110", BIN),
+        complement(containing("0", BIN)),
     ]
     for a in machines:
         found = shortest_accepted(a)
@@ -325,7 +329,7 @@ def test_shortest_accepted_is_length_lex_minimal():
 
 def test_json_round_trip_is_byte_identical():
     subjects = [
-        matcher_automaton("0110", BIN, MatcherMode.COUNTING),
+        matcher_automaton("0110", BIN),
         grafted_bordered_automaton("alfa", Alphabet("alf")),
         build_comparison_dfa("01", "10", BIN, Relation.EQ),
     ]
@@ -358,8 +362,6 @@ def test_from_json_rejects_booleans_and_duplicate_states():
     import json
 
     doc = json.loads(serialize(matcher_automaton("01", BIN), "json"))
-    doc["match_mark"] = [2]
-    assert from_json(json.dumps(doc)).match_mark == frozenset({2})
     broken = [
         {"state_count": True},
         {"start": True},
@@ -367,14 +369,23 @@ def test_from_json_rejects_booleans_and_duplicate_states():
         {"accepting": [True]},
         {"accepting": [2, 2]},
         {"accepting": 2},
-        {"match_mark": [False]},
-        {"match_mark": [2, 2]},
         {"transitions": [[True, "0", 1]] + doc["transitions"][1:]},
         {"transitions": [[0, "0", True]] + doc["transitions"][1:]},
     ]
     for change in broken:
         with pytest.raises(MalformedJsonError):
             from_json(json.dumps(dict(doc, **change)))
+
+
+def test_from_json_rejects_unknown_keys():
+    import json
+
+    doc = json.loads(serialize(matcher_automaton("01", BIN), "json"))
+    for key in ["bogus", "start_state", "match_mark"]:
+        with pytest.raises(MalformedJsonError, match=key):
+            from_json(json.dumps(dict(doc, **{key: [2]})))
+    with pytest.raises(MalformedJsonError, match="'bogus', 'start_state'"):
+        from_json(json.dumps(dict(doc, bogus=1, start_state=3)))
 
 
 def test_from_json_requires_an_alphabet_list():

@@ -7,6 +7,7 @@ from occlang import (
     Alphabet,
     Method,
     avoider_automaton,
+    border_lengths,
     count_occurrences,
     decide_regularity,
     enumerate_bordered,
@@ -279,14 +280,8 @@ def test_bordered_walk_examples():
 
 
 def _border_chain_overlaps(x):
-    """x[:p] + x for each period p of x, read off the failure table's border chain."""
-    fail = automata.kmp_failure(x)
-    out = []
-    border = fail[len(x)]
-    while border:
-        out.append(x[: len(x) - border] + x)
-        border = fail[border]
-    return out
+    """x[:p] + x for each period p of x, longest border first."""
+    return [x[: len(x) - b] + x for b in reversed(border_lengths(x))]
 
 
 def test_overlaps_follow_the_border_chain():

@@ -6,7 +6,6 @@ import pytest
 
 from occlang import (
     Dfa,
-    MatcherMode,
     Relation,
     bounded_census,
     build_comparison_dfa,
@@ -59,19 +58,18 @@ def test_dfa_construction_validates():
     rows = ((1, 0), (1, 1))
     assert Dfa(BIN, rows, 0, frozenset({1})).state_count == 2
     bad = [
-        (((1, 0), (1, 2)), 0, frozenset(), None, "transition table is not total over the state set"),
-        (((1, 0), (1, -1)), 0, frozenset(), None, "transition table is not total over the state set"),
-        (((1, 0), (1,)), 0, frozenset(), None, "transition table is not total over the state set"),
-        ((), 0, frozenset(), None, "a DFA needs at least one state"),
-        (rows, 2, frozenset(), None, "start state out of range"),
-        (rows, -1, frozenset(), None, "start state out of range"),
-        (rows, 0, frozenset({0, 2}), None, "accepting state out of range"),
-        (rows, 0, frozenset({-1}), None, "accepting state out of range"),
-        (rows, 0, frozenset(), frozenset({5}), "match mark state out of range"),
+        (((1, 0), (1, 2)), 0, frozenset(), "transition table is not total over the state set"),
+        (((1, 0), (1, -1)), 0, frozenset(), "transition table is not total over the state set"),
+        (((1, 0), (1,)), 0, frozenset(), "transition table is not total over the state set"),
+        ((), 0, frozenset(), "a DFA needs at least one state"),
+        (rows, 2, frozenset(), "start state out of range"),
+        (rows, -1, frozenset(), "start state out of range"),
+        (rows, 0, frozenset({0, 2}), "accepting state out of range"),
+        (rows, 0, frozenset({-1}), "accepting state out of range"),
     ]
-    for table, start, accepting, mark, message in bad:
+    for table, start, accepting, message in bad:
         with pytest.raises(ValueError, match=message):
-            Dfa(BIN, table, start, accepting, match_mark=mark)
+            Dfa(BIN, table, start, accepting)
 
 
 def test_dfa_replace_validates():
@@ -85,8 +83,6 @@ def test_dfa_replace_validates():
         a._replace(start=n)
     with pytest.raises(ValueError, match="accepting state out of range"):
         a._replace(accepting=frozenset({n}))
-    with pytest.raises(ValueError, match="match mark state out of range"):
-        a._replace(match_mark=frozenset({n}))
     with pytest.raises(ValueError, match="Got unexpected field names"):
         a._replace(states=3)
 
@@ -99,9 +95,7 @@ def test_dfa_methods_and_round_trips():
     assert a.final_state("") == a.start and a.final_state("01") == t[t[a.start][0]][1]
     assert a.accepts("0110") and not a.accepts("01")
     assert pickle.loads(pickle.dumps(a)) == a
-    counting = matcher_automaton("aa", UNARY, MatcherMode.COUNTING)
-    assert counting.count_marks("aaaa") == 3
-    inverted = complement(counting)
-    assert type(inverted) is Dfa
-    assert inverted.match_mark == counting.match_mark == frozenset({2})
-    assert inverted.accepting == frozenset({0, 1, 2})
+    ends_aa = matcher_automaton("aa", UNARY)
+    inverted = complement(ends_aa)
+    assert type(inverted) is Dfa and inverted.transitions == ends_aa.transitions
+    assert inverted.accepting == frozenset({0, 1})

@@ -9,7 +9,6 @@ import pytest
 from occlang import (
     Alphabet,
     Direction,
-    MatcherMode,
     Relation,
     build_comparison_dfa,
     commutes,
@@ -56,7 +55,7 @@ def binary_counts():
     """Per pattern, per length: occurrence counts over all binary words <= 12."""
     table = {}
     for p in nonempty_words_upto(BIN, 4):
-        m = matcher_automaton(p, BIN, MatcherMode.COUNTING)
+        m = matcher_automaton(p, BIN)
         table[p] = level_mark_counts(m, MAX_WORD_LEN)
     return table
 

@@ -10,7 +10,6 @@ from occlang import (
     count_occurrences,
     decompose_bordered,
     power_count_params,
-    primitive_root,
 )
 from occlang.errors import (
     EmptyPatternError,
@@ -21,7 +20,7 @@ from occlang.errors import (
 )
 from occlang.words import Alphabet
 
-from helpers import BIN, nonempty_words_upto, scan_count, words_upto
+from helpers import BIN, nonempty_words_upto, primitive_root, scan_count, words_upto
 
 
 def test_count_occurrences_examples():
@@ -139,32 +138,17 @@ def test_power_count_linear_law():
                 assert count_occurrences(uv * i, y) == (i - dec.e) * params.d + params.c - params.d
 
 
-def test_primitive_root_examples():
-    assert primitive_root("abab") == ("ab", 2)
-    assert primitive_root("abc") == ("abc", 1)
-    assert primitive_root("aaaa") == ("a", 4)
-    with pytest.raises(EmptyWordError):
-        primitive_root("")
-
-
 def test_commutes_examples():
     assert commutes("ab", "abab")
     assert not commutes("ab", "ba")
 
 
 def test_commutes_iff_same_primitive_root():
-    roots = {w: primitive_root(w)[0] for w in nonempty_words_upto(BIN, 6)}
+    roots = {w: primitive_root(w) for w in nonempty_words_upto(BIN, 6)}
     ws = list(roots)
     for x in ws:
         for y in ws:
             assert commutes(x, y) == (roots[x] == roots[y])
-
-
-@given(st.text(alphabet="ab", min_size=1, max_size=8), st.integers(1, 5))
-def test_primitive_root_reconstructs(w, reps):
-    root, k = primitive_root(w * reps)
-    assert root * k == w * reps
-    assert primitive_root(root) == (root, 1)
 
 
 def test_alphabet_basics():
