@@ -56,6 +56,11 @@ class Dfa(_DfaFields):
     def _make(cls, iterable):
         return cls(*iterable)
 
+    @classmethod
+    def _trusted(cls, alphabet, transitions, start, accepting):
+        """A DFA from fields well formed by construction, left unvalidated."""
+        return _DfaFields.__new__(cls, alphabet, transitions, start, accepting)
+
     @property
     def state_count(self) -> int:
         return len(self.transitions)
@@ -100,7 +105,7 @@ def matcher_automaton(p: Word, alphabet: Alphabet) -> Dfa:
         rows.append(tuple(row))
         b = rows[b][si]
     rows.append(rows[b])
-    return Dfa(alphabet, tuple(rows), 0, frozenset({len(p)}))
+    return Dfa._trusted(alphabet, tuple(rows), 0, frozenset({len(p)}))
 
 
 def grafted_bordered_automaton(y: Word, alphabet: Alphabet) -> Dfa:
@@ -168,7 +173,7 @@ def combine(a: Dfa, b: Dfa) -> Dfa:
 def complement(a: Dfa) -> Dfa:
     """Invert the accepting set; the DFA is complete, so this is exact."""
     inverted = frozenset(range(a.state_count)) - a.accepting
-    return Dfa(a.alphabet, a.transitions, a.start, inverted)
+    return Dfa._trusted(a.alphabet, a.transitions, a.start, inverted)
 
 
 def minimize(a: Dfa) -> Dfa:
@@ -194,7 +199,7 @@ def minimize(a: Dfa) -> Dfa:
     accepting = {s for s in reach if s in a.accepting}
     members = [part for part in (accepting, seen - accepting) if part]
     if len(members) == 1:
-        return Dfa(a.alphabet, ((0,) * k,), 0, frozenset({0} if accepting else ()))
+        return Dfa._trusted(a.alphabet, ((0,) * k,), 0, frozenset({0} if accepting else ()))
     inverse: list[list[list[int]]] = [[[] for _ in trans] for _ in range(k)]
     for s in reach:
         for si, t in enumerate(trans[s]):
@@ -248,7 +253,7 @@ def minimize(a: Dfa) -> Dfa:
             row.append(j)
         rows.append(tuple(row))
     acc = frozenset(position[block[s]] for s in reach if s in a.accepting)
-    return Dfa(a.alphabet, tuple(rows), 0, acc)
+    return Dfa._trusted(a.alphabet, tuple(rows), 0, acc)
 
 
 def shortest_accepted(a: Dfa) -> Word | None:

@@ -221,13 +221,16 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
 def _tracker(x: Word, y: Word, alphabet: Alphabet) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """Product of the two counting matchers with a saturating difference tracker.
 
-    Assumes x is interlaced by y, which caps |z|_x - |z|_y at +1 and makes
-    every difference of -2 or below permanent.  A state is a matcher pair
-    (sx, sy) with a difference d of +1, 0 or -1, keyed by the integer
-    (sx·(|y|+1) + sy)·3 + d + 1; every successor whose difference falls to
-    -2 goes to one sink, whatever the matchers' states.  A key's residue
-    mod 3, d + 1, is its difference class; the sink's key -3 falls in the
-    class of d = -1, which every relation treats as it treats d <= -2.
+    Assumes x is interlaced by y, which caps |z|_x - |z|_y at C = +1, or at
+    C = 0 if y is a factor of x (each occurrence of x maps injectively to the
+    y at a fixed offset inside it), and makes a difference <= -2 permanent.
+    A state is a matcher pair q = (sx, sy) with a difference d of +1, 0 or -1,
+    keyed by (sx·(|y|+1) + sy)·3 + d + 1, whose residue mod 3, d + 1, is its
+    difference class.  One sink, keyed -3 in the class of d = -1, takes every
+    successor with d <= -2 and each (q, -1) met once (q, C) is known: a word
+    reaches (q, C), so by the cap no word read from q raises the difference,
+    which from (q, -1) stays <= -1 for good.  Every relation treats all
+    d <= -1 alike, so the sink is exact.
     Returns the transition table, with start state 0, and every state's key.
     """
     tx = matcher_automaton(x, alphabet).transitions
@@ -236,6 +239,7 @@ def _tracker(x: Word, y: Word, alphabet: Alphabet) -> tuple[tuple[tuple[int, ...
     width = hit_y + 1
     k = len(alphabet)
     sink = -3
+    cap = 0 if y in x else 1
     keys = [1]  # both matchers in state 0, difference 0
     index = {1: 0}
     rows: list[tuple[int, ...]] = []
@@ -251,7 +255,8 @@ def _tracker(x: Word, y: Word, alphabet: Alphabet) -> tuple[tuple[tuple[int, ...
             nd = d + (nx == hit_x) - (ny == hit_y)
             if nd > 1:
                 raise CriterionHoldsError("difference tracker overflow: x is not interlaced by y")
-            nkey = sink if nd < -1 else (nx * width + ny) * 3 + nd + 1
+            base = (nx * width + ny) * 3 + 1  # the key of (nx, ny) with d = 0
+            nkey = sink if nd < -1 or nd == -1 and base + cap in index else base + nd
             t = index.get(nkey)
             if t is None:
                 t = index[nkey] = len(keys)
@@ -267,25 +272,24 @@ _RESIDUES = {rel: frozenset(r for r in range(3) if rel.holds(r - 1, 0)) for rel 
 
 def _accepting(alphabet: Alphabet, rows: tuple, keys: list[int], residues: frozenset[int]) -> Dfa:
     """The tracker (rows, keys) accepting the states whose keys have the given residues."""
-    return Dfa(alphabet, rows, 0, frozenset(i for i, key in enumerate(keys) if key % 3 in residues))
+    accepting = frozenset(i for i, key in enumerate(keys) if key % 3 in residues)
+    return Dfa._trusted(alphabet, rows, 0, accepting)
 
 
 @lru_cache(maxsize=1)
 def _synthesis(x: Word, y: Word, alphabet: Alphabet) -> tuple:
-    """The synthesis of the most recent regular (x, y, alphabet); a non-regular pair raises.
-
-    Holds whether the pair is swapped so that x is interlaced by y, the oriented
-    tracker, the residues of its keys, and the minimal DFAs built so far.
+    """For the latest (x, y, alphabet): a non-regular pair's certificate, or whether a
+    regular pair is swapped so that x is interlaced by y, its tracker, its key residues
+    and the minimal DFAs so far, first the trivial one accepting every residue present.
     """
     outcome = decide_regularity(x, y, alphabet)
     if not outcome.regular:
-        raise NotRegularError(
-            f"the comparison languages for {x!r} and {y!r} are not regular",
-            certificate=outcome.certificate,
-        )
+        return outcome.certificate, None, None, None, None, None
     mirror = outcome.direction is Direction.Y_INTERLACED_BY_X
     rows, keys = _tracker(y, x, alphabet) if mirror else _tracker(x, y, alphabet)
-    return mirror, rows, keys, frozenset(key % 3 for key in keys), {}
+    present = frozenset(key % 3 for key in keys)
+    everything = Dfa._trusted(alphabet, ((0,) * len(alphabet),), 0, frozenset({0}))
+    return None, mirror, rows, keys, present, {present: everything}
 
 
 def build_comparison_dfa(x: Word, y: Word, alphabet: Alphabet, rel: Relation) -> Dfa:
@@ -300,10 +304,14 @@ def build_comparison_dfa(x: Word, y: Word, alphabet: Alphabet, rel: Relation) ->
     split the relations make of the difference classes the tracker reaches
     (d = -1 with the sink, 0, +1), keyed by the side holding the start state
     (d = 0); a relation accepting the other side gets the complement.  So
-    with no +1 class EQ and LT are complements and LE is trivial: two
-    minimizations.  A repeated call may return the same immutable Dfa.
+    with no +1 class EQ and LT are complements and LE is the trivial split,
+    which needs no minimization.  A non-regular pair keeps its certificate,
+    raised afresh on each call; a regular one may return the same Dfa again.
     """
-    mirror, rows, keys, present, minimal = _synthesis(x, y, alphabet)
+    certificate, mirror, rows, keys, present, minimal = _synthesis(x, y, alphabet)
+    if certificate is not None:
+        message = f"the comparison languages for {x!r} and {y!r} are not regular"
+        raise NotRegularError(message, certificate=certificate)
     accepted = present & _RESIDUES[rel.mirrored() if mirror else rel]
     side = accepted if 1 in accepted else present - accepted
     dfa = minimal.get(side)

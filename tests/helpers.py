@@ -34,6 +34,24 @@ def scan_count(w, p):
     return sum(1 for i in range(len(w) - len(p) + 1) if w[i : i + len(p)] == p)
 
 
+def level_scan_counts(p, alphabet, max_length):
+    """Per length L, |w|_p for each word w of length L (lex order), by scan_count.
+
+    A word counts what its prefix one letter shorter counts, plus one if it
+    ends in p; the words of one length run through the |p|-letter suffixes in
+    a cycle, so one scan_count per suffix serves every length.
+    """
+    k = len(alphabet)
+    ends = np.array([scan_count(w, p) for w in words_upto(alphabet, len(p), len(p))], dtype=np.int8)
+    levels = [np.zeros(1, dtype=np.int8)]
+    for length in range(1, max_length + 1):
+        counts = np.repeat(levels[-1], k)
+        if length >= len(p):
+            counts += np.tile(ends, k ** (length - len(p)))
+        levels.append(counts)
+    return levels
+
+
 def level_states(dfa: Dfa, max_length: int):
     """Per length L, the DFA state reached by each word of length L (lex order)."""
     k = len(dfa.alphabet)
@@ -130,8 +148,8 @@ def tracker_dfa(x, y, alphabet, rel):
     """The unminimized difference tracker of x interlaced by y, accepting the words of rel.
 
     A state's key k holds the difference d = k % 3 - 1; the sink's key -3 reads
-    as d = -1, which every relation treats as it treats the d <= -2 the sink
-    stands for.  A state accepts when d rel 0.
+    as d = -1, which every relation treats as it treats the d <= -1 for good
+    that the sink stands for.  A state accepts when d rel 0.
     """
     rows, keys = _tracker(x, y, alphabet)
     return Dfa(alphabet, rows, 0, frozenset(i for i, k in enumerate(keys) if rel.holds(k % 3 - 1, 0)))

@@ -28,6 +28,7 @@ from occlang.errors import (
     NotRegularError,
 )
 from occlang import regularity
+from occlang.regularity import _tracker
 
 from helpers import (
     BIN,
@@ -35,6 +36,8 @@ from helpers import (
     is_minimal,
     level_acceptance,
     level_mark_counts,
+    level_scan_counts,
+    level_states,
     nonempty_words_upto,
     scan_count,
     tracker_dfa,
@@ -268,11 +271,78 @@ def _sinks(dfa):
 
 def test_tracker_state_counts():
     small = tracker_dfa("0" * 12, "0" * 11, BIN, Relation.EQ)
-    assert small.state_count == 25
+    assert small.state_count == 14
     assert len(_sinks(small)) == 1
     big = tracker_dfa("0" * 2000, "0" * 1999, BIN, Relation.EQ)
-    assert big.state_count == 4001
+    assert big.state_count == 2002
     assert minimize(big).state_count == 2000
+
+
+FOLD_LEN = 10
+
+
+@pytest.fixture(scope="module")
+def oriented_pairs(binary_grid):
+    """Every regular pair over binary <= 4 and ternary <= 3 with x interlaced by y."""
+    ternary = list(nonempty_words_upto(TERN, 3))
+    cases = [(x, y, BIN, o) for (x, y), o in binary_grid.items()]
+    cases += [(x, y, TERN, decide_regularity(x, y, TERN)) for x in ternary for y in ternary]
+    oriented = (Direction.X_INTERLACED_BY_Y, Direction.BOTH)
+    return [(x, y, alphabet) for x, y, alphabet, o in cases if o.direction in oriented]
+
+
+@pytest.fixture(scope="module")
+def scan_counts():
+    """Per (alphabet, pattern), per length: scan_count occurrences in every word <= FOLD_LEN."""
+    grids = [(BIN, 4), (TERN, 3)]
+    return {(a, p): level_scan_counts(p, a, FOLD_LEN) for a, n in grids for p in nonempty_words_upto(a, n)}
+
+
+def test_difference_cap_is_zero_exactly_for_factors(oriented_pairs, scan_counts):
+    """The tracker's cap C: the largest |z|_x - |z|_y is 0 when y is a factor of x, else +1."""
+    factors = 0
+    for x, y, alphabet in oriented_pairs:
+        levels = zip(scan_counts[alphabet, x], scan_counts[alphabet, y])
+        top = max(int((cx - cy).max()) for cx, cy in levels)
+        assert top == (0 if y in x else 1), (x, y, alphabet)
+        factors += y in x
+    assert 0 < factors < len(oriented_pairs)
+
+
+def test_folded_tracker_agrees_with_the_counts(oriented_pairs, scan_counts):
+    """Folding (q, -1) into the sink keeps every relation's language, on every word <= FOLD_LEN."""
+    for x, y, alphabet in oriented_pairs:
+        states = level_states(tracker_dfa(x, y, alphabet, Relation.EQ), FOLD_LEN)
+        levels = list(zip(scan_counts[alphabet, x], scan_counts[alphabet, y], states))
+        for rel in Relation:
+            dfa = tracker_dfa(x, y, alphabet, rel)
+            accepts = np.isin(np.arange(dfa.state_count), list(dfa.accepting))
+            for cx, cy, reached in levels:
+                assert np.array_equal(accepts[reached], rel.holds(cx, cy)), (x, y, alphabet, rel)
+
+
+def test_three_class_trackers_keep_their_size():
+    """0^k 1 / 1 0^k reaches every difference class and folds nothing, either way round."""
+    for k in range(1, 41):
+        for x, y in [("0" * k + "1", "1" + "0" * k), ("1" + "0" * k, "0" * k + "1")]:
+            assert len(_tracker(x, y, BIN)[0]) == 3 * k + 6, (x, y)
+
+
+def test_trackers_are_near_minimal():
+    """The tracker has at most 1.25 times the states of the largest minimal DFA of its pair."""
+    rng = random.Random(4)
+    pairs = []
+    for n in (12, 40, 80):
+        pairs += [("0" * n, "0" * (n - 1), BIN), ("0" * n + "1", "01", BIN), ("0" * n, "0" * (n // 2), TERN)]
+    for symbols in ("01", "01", "012", "012"):
+        w = "".join(rng.choice(symbols) for _ in range(140))
+        i = rng.randrange(140 - 14)
+        pairs.append((w, w[i : i + 14], Alphabet(symbols)))
+    for x, y, alphabet in pairs:
+        assert decide_regularity(x, y, alphabet).direction is Direction.X_INTERLACED_BY_Y
+        tracker = len(_tracker(x, y, alphabet)[0])
+        minimal = max(build_comparison_dfa(x, y, alphabet, rel).state_count for rel in Relation)
+        assert 4 * tracker <= 5 * minimal, (x, y, alphabet, tracker, minimal)
 
 
 def test_tracker_has_at_most_one_sink(binary_grid):
@@ -337,13 +407,14 @@ def calls(monkeypatch):
 
 def test_six_relations_share_one_synthesis(calls):
     rng = random.Random(8)
-    # The last entry is how many splits the six relations make of the
-    # difference classes present: one per class, the trivial split included
-    # (d <= -1, 0 and +1 for 01/10; d = 0 alone for 0/0; no +1 class otherwise).
-    pairs = [("01", "10", BIN, 3), ("0", "0011", BIN, 2), ("0" * 12, "0" * 11, BIN, 2),
-             ("0" * 5 + "1", "01", BIN, 2), ("0", "0", BIN, 1), ("0000", "00", TERN, 2),
+    # The last entry is how many minimizations the six relations need: one
+    # per split they make of the difference classes present, but none for the
+    # trivial split, which accepts them all (d <= -1, 0 and +1 for 01/10, none
+    # trivial; d = 0 alone for 0/0; no +1 class otherwise, where LE is trivial).
+    pairs = [("01", "10", BIN, 3), ("0", "0011", BIN, 1), ("0" * 12, "0" * 11, BIN, 1),
+             ("0" * 5 + "1", "01", BIN, 1), ("0", "0", BIN, 0), ("0000", "00", TERN, 1),
              ("01", "10", Alphabet("10"), 3)]
-    for x, y, alphabet, splits in pairs:
+    for x, y, alphabet, minimizations in pairs:
         for _ in range(3):
             regularity._synthesis.cache_clear()
             calls.clear()
@@ -353,7 +424,7 @@ def test_six_relations_share_one_synthesis(calls):
                 build_comparison_dfa(x, y, alphabet, rel)
             assert calls["decide_regularity"] == 1, (x, y, relations)
             assert calls["matcher_automaton"] == 2, (x, y, relations)
-            assert calls["minimize"] == splits, (x, y, relations)
+            assert calls["minimize"] == minimizations, (x, y, relations)
         # asked again, the same pair is served from the synthesis, all six relations
         calls.clear()
         for rel in Relation:
@@ -405,12 +476,12 @@ def test_two_class_pairs_complement_lt_for_eq(calls):
             assert serialize(eq, fmt) == serialize(complement(lt), fmt), (x, y, fmt)
             assert serialize(eq, fmt) == _reference(x, y, alphabet, Relation.EQ, fmt), (x, y, fmt)
         assert build_comparison_dfa(x, y, alphabet, Relation.LE).state_count == 1
-        assert calls["minimize"] == 2, (x, y)
+        assert calls["minimize"] == 1, (x, y)
 
 
 def test_synthesis_is_keyed_by_both_patterns_and_the_alphabet():
     build_comparison_dfa("01", "10", BIN, Relation.EQ)
-    for _ in range(2):  # a non-regular pair is never kept
+    for _ in range(2):  # a non-regular pair is kept too, and raises each time
         with pytest.raises(NotRegularError) as exc:
             build_comparison_dfa("01", "10", TERN, Relation.EQ)
         assert exc.value.certificate == decide_regularity("01", "10", TERN).certificate
@@ -428,6 +499,19 @@ def test_synthesis_is_keyed_by_both_patterns_and_the_alphabet():
     # |z|_0 < |z|_0011 fails on 0 but |z|_0011 < |z|_0 holds there
     assert not build_comparison_dfa("0", "0011", BIN, Relation.LT).accepts("0")
     assert build_comparison_dfa("0011", "0", BIN, Relation.LT).accepts("0")
+
+
+def test_non_regular_pair_is_decided_once(calls):
+    """The six relations of a non-regular pair share one decision, each raising a fresh error."""
+    errors = []
+    for rel in Relation:
+        with pytest.raises(NotRegularError) as exc:
+            build_comparison_dfa("0011", "1100", BIN, rel)
+        errors.append(exc.value)
+    assert calls == {"decide_regularity": 1}
+    assert len(set(map(id, errors))) == 6
+    assert errors[0].certificate is not None
+    assert all(err.certificate == errors[0].certificate for err in errors)
 
 
 def test_relation_order_does_not_change_the_dfas(binary_grid):
