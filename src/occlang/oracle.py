@@ -1,17 +1,20 @@
 """Brute-force reference procedures backing the test suites.
 
-Everything here is deliberately direct: a streaming counter scan for
-membership, exhaustive word enumeration for censuses and bounded DFA
-equivalence, and closed-form enumeration of bordered words.  Budgets are
-explicit; exceeding one raises instead of truncating silently.
+Everything here is deliberately direct and counts occurrences from their
+definition: an occurrence of p in z is a position i where z[i:] starts with
+p.  Membership scans every position, censuses enumerate every word, and the
+bounded DFA equivalence compares each word's last letters with the patterns.
+No automaton is built here: the oracle checks the DFAs the library builds
+from its pattern matchers, so it must not share them.  Bordered words are
+enumerated in closed form.  Budgets are explicit; exceeding one raises
+instead of truncating silently.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .automata import Dfa, matcher_automaton
+from .automata import Dfa
 from .errors import BudgetExceededError, EmptyPatternError
 from .regularity import Relation
 from .words import Alphabet, Word, border_lengths
@@ -31,32 +34,12 @@ class CensusReport(NamedTuple):
         return doc
 
 
-@lru_cache(maxsize=256)
-def _counting_matcher(pattern: Word, symbols: tuple[str, ...]) -> Dfa:
-    return matcher_automaton(pattern, Alphabet(symbols))
-
-
-def _count_with_matcher(z: Word, pattern: Word, symbols: tuple[str, ...]) -> int:
-    m = _counting_matcher(pattern, symbols)
-    hit = len(pattern)
-    state = 0
-    trans = m.transitions
-    index = m.alphabet.index
-    total = 0
-    for ch in z:
-        state = trans[state][index(ch)]
-        if state == hit:
-            total += 1
-    return total
-
-
 def counter_membership(z: Word, x: Word, y: Word, rel: Relation) -> bool:
-    """Whether |z|_x rel |z|_y, by a single left-to-right counter scan."""
+    """Whether |z|_x rel |z|_y, counting the positions of z that start each pattern."""
     if not x or not y:
         raise EmptyPatternError("counter membership needs nonempty patterns")
-    symbols = tuple(sorted(set(z) | set(x) | set(y)))
-    cx = _count_with_matcher(z, x, symbols)
-    cy = _count_with_matcher(z, y, symbols)
+    cx = sum(z.startswith(x, i) for i in range(len(z) - len(x) + 1))
+    cy = sum(z.startswith(y, i) for i in range(len(z) - len(y) + 1))
     return rel.holds(cx, cy)
 
 
@@ -67,24 +50,20 @@ def _default_budget(alphabet: Alphabet) -> int:
 def _walk_counts(patterns: Sequence[Word], alphabet: Alphabet, max_length: int) -> Iterator:
     """Every word of length <= max_length with its per-pattern occurrence counts.
 
-    Depth-first over the prefix tree in symbol order, extending matcher states
-    incrementally, so the whole sweep costs one transition per tree edge per
-    pattern.  An explicit stack, with children pushed in reverse symbol order,
-    keeps the call depth constant whatever max_length is.
+    Depth-first over the prefix tree in symbol order.  A child counts what its
+    parent counts, plus one for each pattern it ends with: the occurrences
+    ending at its last letter.  An explicit stack, with children pushed in
+    reverse symbol order, keeps the call depth constant whatever max_length is.
     """
-    tables = [matcher_automaton(p, alphabet).transitions for p in patterns]
-    hits = [len(p) for p in patterns]
-    symbols = alphabet.symbols
-    zero = (0,) * len(patterns)
-    stack = [("", zero, zero)]
+    stack = [("", (0,) * len(patterns))]
     while stack:
-        word, states, counts = stack.pop()
+        word, counts = stack.pop()
         yield word, counts
         if len(word) < max_length:
-            for si in reversed(range(len(symbols))):
-                nstates = tuple(t[s][si] for t, s in zip(tables, states))
-                ncounts = tuple(c + (s == h) for c, s, h in zip(counts, nstates, hits))
-                stack.append((word + symbols[si], nstates, ncounts))
+            for a in reversed(alphabet.symbols):
+                child = word + a
+                ends = (child.endswith(p) for p in patterns)
+                stack.append((child, tuple(c + e for c, e in zip(counts, ends))))
 
 
 def _census(
@@ -164,12 +143,14 @@ _SWEEP_BUDGET = 1 << 17
 
 
 def bounded_equivalence(a: Dfa, x: Word, y: Word, rel: Relation, max_length: int) -> Word | None:
-    """First word (length-lexicographic) where a's verdict differs from the counter scan.
+    """First word (length-lexicographic) where a's verdict differs from the counts.
 
     Returns None when the DFA and the oracle agree on every word of length up
-    to max_length.  Raises BudgetExceededError, before sweeping, when there
-    are more than 2^17 such words.
+    to max_length.  Raises EmptyPatternError for an empty pattern and, before
+    sweeping, BudgetExceededError when there are more than 2^17 such words.
     """
+    if not x or not y:
+        raise EmptyPatternError("bounded equivalence needs nonempty patterns")
     if max_length < 0:
         raise ValueError(f"max_length must be nonnegative, got {max_length}")
     alphabet = a.alphabet
@@ -189,28 +170,32 @@ def bounded_equivalence(a: Dfa, x: Word, y: Word, rel: Relation, max_length: int
     if (a.start in accepting) != holds(0, 0):
         return ""
     ta = a.transitions
-    tx = matcher_automaton(x, alphabet).transitions
-    ty = matcher_automaton(y, alphabet).transitions
-    hit_x, hit_y = len(x), len(y)
+    xs = [alphabet.index(c) for c in x]
+    ys = [alphabet.index(c) for c in y]
+    nx, ny, x_end, y_end = len(x), len(y), xs[-1], ys[-1]
     # Depth-first with an explicit stack, children pushed in reverse symbol
     # order, so the words of one length are met in lexicographic order.  An
-    # entry is (length, last symbol, DFA/x/y states and x/y counts before that
-    # symbol); path holds the symbol indices of the current word.  A mismatch
+    # entry is (length, last symbol, DFA state and x/y counts before that
+    # symbol); path holds the symbol indices of the current word, which gains
+    # an occurrence of x when path ends with x's indices.  The word itself is
+    # never built: over one symbol that would cost quadratic time.  A mismatch
     # hides only words extending it, all length-lexicographically later.
     path: list[int] = []
     best: list[int] | None = None
-    stack = [(1, si, a.start, 0, 0, 0, 0) for si in reversed(range(k))] if max_length else []
+    stack = [(1, si, a.start, 0, 0) for si in reversed(range(k))] if max_length else []
     while stack:
-        length, si, sa, sx, sy, cx, cy = stack.pop()
+        length, si, sa, cx, cy = stack.pop()
         path[length - 1 :] = [si]
-        sa, sx, sy = ta[sa][si], tx[sx][si], ty[sy][si]
-        cx += sx == hit_x
-        cy += sy == hit_y
+        sa = ta[sa][si]
+        if si == x_end and path[-nx:] == xs:
+            cx += 1
+        if si == y_end and path[-ny:] == ys:
+            cy += 1
         if (sa in accepting) != holds(cx, cy):
             if best is None or length < len(best):
                 best = path.copy()
         elif length < max_length:
-            stack.extend((length + 1, sj, sa, sx, sy, cx, cy) for sj in reversed(range(k)))
+            stack.extend((length + 1, sj, sa, cx, cy) for sj in reversed(range(k)))
     if best is None:
         return None
     return "".join(alphabet.symbols[i] for i in best)

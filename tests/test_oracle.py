@@ -1,3 +1,5 @@
+import json
+import sys
 import tracemalloc
 
 import pytest
@@ -18,6 +20,7 @@ from occlang import (
     enumerate_bordered,
     grafted_bordered_automaton,
 )
+from occlang import automata, cli, regularity
 from occlang.errors import BudgetExceededError, EmptyPatternError
 
 from helpers import BIN, TERN, UNARY, nonempty_words_upto, scan_count, words_upto
@@ -208,6 +211,80 @@ def test_bounded_equivalence_budget():
         bounded_equivalence(everything, "a", "a", Relation.EQ, 2**17)
     with pytest.raises(ValueError):
         bounded_equivalence(figure, "01", "10", Relation.EQ, -1)
+
+
+def test_bounded_equivalence_rejects_empty_patterns():
+    # the verdict must not depend on the DFA: f rejects epsilon for EQ, its complement accepts it
+    f = build_comparison_dfa("01", "10", BIN, Relation.EQ)
+    for dfa in (f, complement(f)):
+        for x, y in (("", "10"), ("01", ""), ("", "")):
+            for max_length in (0, 5):
+                with pytest.raises(EmptyPatternError):
+                    bounded_equivalence(dfa, x, y, Relation.EQ, max_length)
+
+
+# Regular binary pairs whose comparison DFAs come out wrong when the KMP
+# matcher forgets overlaps after a match.
+_OVERLAP_PAIRS = [("0", "101"), ("1", "010"), ("00", "000"), ("01", "010"), ("01", "101")]
+
+
+@pytest.fixture
+def forgetful_matcher(monkeypatch):
+    """Installs, when called, a matcher that forgets overlaps after each match.
+
+    Its last row is row 0, so after "00" the matcher for "00" needs two more
+    zeros.  It replaces matcher_automaton at every occlang module-global
+    binding; the memoized synthesis is cleared on both sides of the test.
+    """
+    real = automata.matcher_automaton
+
+    def forgetful(p, alphabet):
+        m = real(p, alphabet)
+        return m._replace(transitions=m.transitions[:-1] + m.transitions[:1])
+
+    def install():
+        for name, mod in list(sys.modules.items()):
+            if mod is None or not (name == "occlang" or name.startswith("occlang.")):
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, forgetful)
+
+    regularity._synthesis.cache_clear()
+    yield install
+    monkeypatch.undo()
+    regularity._synthesis.cache_clear()
+
+
+def test_validate_catches_a_matcher_that_forgets_overlaps(forgetful_matcher, capsys):
+    forgetful_matcher()
+    for x, y in _OVERLAP_PAIRS:
+        argv = ["validate", x, y, "--alphabet", "01", "--max-len", "8", "--json"]
+        cli.main(argv)
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failed = [c["name"] for c in checks if not c["pass"]]
+        assert any(name.startswith("dfa-oracle-") for name in failed), (x, y, failed)
+
+
+def test_oracle_answers_do_not_depend_on_the_matcher(forgetful_matcher):
+    relations = (Relation.EQ, Relation.LT, Relation.LE)
+    # built before the fault, so every answer below should be the same with it
+    built = [build_comparison_dfa(x, y, BIN, rel) for x, y in _OVERLAP_PAIRS for rel in relations]
+    dfas = built + [complement(dfa) for dfa in built]
+
+    def answers():
+        return [
+            (
+                [counter_membership(z, x, y, Relation.LT) for z in words_upto(BIN, 8)],
+                bounded_census(x, y, BIN, Relation.EQ, 8),
+                [bounded_equivalence(dfa, x, y, rel, 8) for rel in relations for dfa in dfas],
+            )
+            for x, y in _OVERLAP_PAIRS
+        ]
+
+    honest = answers()
+    forgetful_matcher()
+    assert answers() == honest
 
 
 def test_enumerate_bordered_examples():
