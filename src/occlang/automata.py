@@ -96,10 +96,11 @@ def matcher_automaton(p: Word, alphabet: Alphabet) -> Dfa:
     if not p:
         raise EmptyPatternError("matcher pattern must be nonempty")
     alphabet.require(p)
+    index = alphabet._index
     rows = [tuple(int(a == p[0]) for a in alphabet.symbols)]
     b = 0
     for i in range(1, len(p)):
-        si = alphabet.index(p[i])
+        si = index[p[i]]
         row = list(rows[b])
         row[si] = i + 1
         rows.append(tuple(row))
@@ -179,80 +180,124 @@ def complement(a: Dfa) -> Dfa:
 def minimize(a: Dfa) -> Dfa:
     """Unique minimal complete DFA for L(a), states numbered by BFS in symbol order.
 
-    Hopcroft partition refinement, O(k·n log n) for n reachable states over k
-    symbols: start from the accepting/rejecting split and split every block by
-    the predecessors of a (block, symbol) splitter taken from a worklist.  When
-    a block splits, a pending splitter of it stays pending for both halves;
-    otherwise only the smaller half is queued, so each state lies in O(log n)
-    processed splitters per symbol.  When the reachable states all accept or
-    all reject, the one-state DFA is returned before any table is built.
+    Hopcroft partition refinement over the n reachable states and k symbols on
+    a refinable partition kept in flat lists: elems lists the states, with
+    block b in elems[first[b]:past[b]]; loc and block give each state's index
+    in elems and its block; marked[b] counts the states of b that the current
+    splitter has swapped to the front of b.  The worklist holds codes
+    b·k + si, each the splitter (block b, symbol si), which marks the states
+    entering b on si.  A block with marked and unmarked states splits, and its
+    smaller part becomes the new block; the first split is that of the one
+    block of all reachable states, the accepting ones marked.  Queueing the
+    new block alone suffices: a pending parent stays pending for the larger
+    part, and a partition stable for the parent and for one part is stable for
+    the other.  The new block is queued only for the symbols on which one of
+    its states has a predecessor.  On any other symbol its preimage is empty,
+    so it would split nothing, and the larger part's preimage is the parent's,
+    so the larger part keeps the parent's stability.  Only the smaller part is
+    scanned and queued, so each state lies in O(log n) processed splitters per
+    symbol and refinement takes O(k·n log n).  When the reachable states all
+    accept or all reject, the one-state DFA is returned before any table is
+    built.
     """
     k = len(a.alphabet)
     trans = a.transitions
+    accepting = a.accepting
+    block = [-1] * a.state_count
+    block[a.start] = 0
     reach = [a.start]
-    seen = {a.start}
     for s in reach:
         for t in trans[s]:
-            if t not in seen:
-                seen.add(t)
+            if block[t] < 0:
+                block[t] = 0
                 reach.append(t)
-    accepting = {s for s in reach if s in a.accepting}
-    members = [part for part in (accepting, seen - accepting) if part]
-    if len(members) == 1:
-        return Dfa._trusted(a.alphabet, ((0,) * k,), 0, frozenset({0} if accepting else ()))
-    inverse: list[list[list[int]]] = [[[] for _ in trans] for _ in range(k)]
+    elems = [s for s in reach if s in accepting]
+    m = len(elems)
+    n = len(reach)
+    if m == 0 or m == n:
+        return Dfa._trusted(a.alphabet, ((0,) * k,), 0, frozenset({0} if m else ()))
+    elems += [s for s in reach if s not in accepting]
+    loc = [0] * a.state_count
+    for i, s in enumerate(elems):
+        loc[s] = i
+    # preds[t * k + si]: the reachable states entering t on symbol si
+    preds: list[list[int] | None] = [None] * (a.state_count * k)
     for s in reach:
         for si, t in enumerate(trans[s]):
-            inverse[si][t].append(s)
-    block = [0] * a.state_count
-    for b, part in enumerate(members):
-        for s in part:
-            block[s] = b
-    smaller = 0 if len(members[0]) <= len(members[1]) else 1
-    pending = {(smaller, si) for si in range(k)}
-    while pending:
-        b, si = pending.pop()
-        preds = inverse[si]
-        touched: dict[int, list[int]] = {}
-        for t in members[b]:
-            for s in preds[t]:
-                touched.setdefault(block[s], []).append(s)
-        for c, movers in touched.items():
-            if len(movers) == len(members[c]):
+            key = t * k + si
+            lst = preds[key]
+            if lst is None:
+                preds[key] = [s]
+            else:
+                lst.append(s)
+    first, past, marked = [0], [n], [m]
+    touched = [0]
+    work: list[int] = []
+    while True:
+        for c in touched:
+            mc = marked[c]
+            marked[c] = 0
+            f, p = first[c], past[c]
+            if mc == p - f:
                 continue
-            new = len(members)
-            moved = set(movers)
-            members[c] -= moved
-            members.append(moved)
-            for s in movers:
-                block[s] = new
-            for sj in range(k):
-                if (c, sj) in pending or len(moved) <= len(members[c]):
-                    pending.add((new, sj))
-                else:
-                    pending.add((c, sj))
-    rep: dict[int, int] = {}
-    for s in reach:
-        rep.setdefault(block[s], s)
-    order = [block[a.start]]
-    position = {block[a.start]: 0}
+            mid = f + mc
+            if mc <= p - mid:
+                first[c] = mid
+                lo, hi = f, mid
+            else:
+                past[c] = mid
+                lo, hi = mid, p
+            nb = len(first)
+            first.append(lo)
+            past.append(hi)
+            marked.append(0)
+            new = elems[lo:hi]
+            for s in new:
+                block[s] = nb
+            code = nb * k
+            for si in range(k):
+                for s in new:
+                    if preds[s * k + si] is not None:
+                        work.append(code + si)
+                        break
+        if not work:
+            break
+        b, si = divmod(work.pop(), k)
+        touched = []
+        for t in elems[first[b] : past[b]]:
+            ps = preds[t * k + si]
+            if ps is None:
+                continue
+            for s in ps:
+                c = block[s]
+                mc = marked[c]
+                if not mc:
+                    touched.append(c)
+                j = first[c] + mc
+                i = loc[s]
+                if i != j:
+                    u = elems[j]
+                    elems[i] = u
+                    loc[u] = i
+                    elems[j] = s
+                    loc[s] = j
+                marked[c] = mc + 1
+    position = [-1] * len(first)
+    b = block[a.start]
+    position[b] = 0
+    order = [b]
     rows = []
-    i = 0
-    while i < len(order):
-        b = order[i]
-        i += 1
+    for b in order:
         row = []
-        src = trans[rep[b]]
-        for si in range(k):
-            tb = block[src[si]]
-            j = position.get(tb)
-            if j is None:
-                j = len(order)
-                position[tb] = j
-                order.append(tb)
+        for t in trans[elems[first[b]]]:
+            c = block[t]
+            j = position[c]
+            if j < 0:
+                j = position[c] = len(order)
+                order.append(c)
             row.append(j)
         rows.append(tuple(row))
-    acc = frozenset(position[block[s]] for s in reach if s in a.accepting)
+    acc = frozenset(i for i, b in enumerate(order) if elems[first[b]] in accepting)
     return Dfa._trusted(a.alphabet, tuple(rows), 0, acc)
 
 

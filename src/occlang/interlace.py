@@ -120,20 +120,36 @@ def in_b_x(y: Word, x: Word) -> bool:
 
 
 def _overlaps(x: Word) -> Iterator[Word]:
-    """x[:p] + x for each period p < |x| of x, shortest (longest border) first.
+    """x[:p] + x for the periods p < |x| of x that may give a first witness, shortest first.
 
-    A border x[p:] of 8 or more letters starts with x[:8], so str.find of
-    x[:8] proposes those p; the last 7 periods are tried one by one.
+    These are the smallest period p0 and the periods that are not multiples
+    of it; for a proper multiple p of p0 the overlap x[:p] + x is never the
+    first to avoid a pattern y.  Write w for the infinite word with period
+    x[:p0]: x is a prefix of w, and so are x[:p] + x and x[:p0] + x, because
+    x[:p] = x[:p0]^(p/p0).  So x[:p0] + x is a prefix of x[:p] + x; if y
+    avoids the longer word it avoids the shorter, which comes first.  By Fine
+    and Wilf, a period p with p + p0 <= |x| + gcd(p, p0) makes gcd(p, p0) a
+    period; none is shorter than p0, so gcd(p, p0) = p0 and p0 divides p.
+    Every period that p0 does not divide thus exceeds |x| - p0 + 1, and the
+    search jumps there from p0.  A border x[p:] of 8 or more letters starts
+    with x[:8], so str.find of x[:8] proposes those p; the last 7 periods are
+    tried one by one.
     """
+    n = len(x)
     head = x[:8]
+    p0 = 0
     p = x.find(head, 1)
     while p > 0:
-        if x.startswith(x[p:]):
+        if (not p0 or p % p0) and x.startswith(x[p:]):
             yield x[:p] + x
+            if not p0:
+                p0 = p
+                p = max(p, n - p0 + 1)
         p = x.find(head, p + 1)
-    for p in range(max(len(x) - 7, 1), len(x)):
-        if x.startswith(x[p:]):
+    for p in range(max(n - 7, 1), n):
+        if (not p0 or p % p0) and x.startswith(x[p:]):
             yield x[:p] + x
+            p0 = p0 or p
 
 
 def _padded(x: Word, symbols: tuple[str, ...], lengths: Iterable[int]) -> Iterator[Word]:
@@ -152,7 +168,8 @@ def interlaced(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
     decides, and the smallest witness is at most 2|x| + 3 letters long.  The
     x-bordered words that short are, shortest first, the overlaps x[:p] + x
     for each period p of x and then x·t·x for |t| = 0, 1, ... in symbol
-    order; they are walked only once the padding test has failed.  Over one
+    order; they are walked only once the padding test has failed, skipping
+    the overlaps that _overlaps proves cannot come first.  Over one
     symbol the padding test is not exact and the walk alone decides: its
     first candidate, a^(|x|+1), settles it.
     """

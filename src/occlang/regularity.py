@@ -252,8 +252,12 @@ def _tracker(x: Word, y: Word, alphabet: Alphabet) -> tuple[tuple[tuple[int, ...
         d -= 1
         row = []
         for nx, ny in zip(tx[sx], ty[sy]):
-            nd = d + (nx == hit_x) - (ny == hit_y)
-            if nd > 1:
+            nd = d
+            if nx == hit_x:
+                nd += 1
+            if ny == hit_y:
+                nd -= 1
+            elif nd > 1:
                 raise CriterionHoldsError("difference tracker overflow: x is not interlaced by y")
             base = (nx * width + ny) * 3 + 1  # the key of (nx, ny) with d = 0
             nkey = sink if nd < -1 or nd == -1 and base + cap in index else base + nd

@@ -114,34 +114,40 @@ def word_from_index(alphabet, length, index):
     return "".join(reversed(out))
 
 
-def is_minimal(dfa: Dfa) -> bool:
-    """Every state reachable and every pair of states distinguishable.
+def naive_minimize(dfa: Dfa) -> Dfa:
+    """The canonical minimal DFA by Moore refinement, independent of occlang.automata.minimize.
 
-    Naive pair-table filling, independent of occlang.automata.minimize: a pair
-    is distinguishable when exactly one state accepts, or when some symbol
-    leads it to a distinguishable pair; iterate to the fixed point.
+    Moore: two reachable states stay in one class while they agree on
+    acceptance and their successors on every symbol lie in one class; refine
+    until the number of classes stops growing.  The classes are then numbered
+    by breadth-first search from the start class, successors in symbol order.
     """
-    reached = {dfa.start}
-    frontier = [dfa.start]
-    while frontier:
-        frontier = [t for s in frontier for t in dfa.transitions[s] if t not in reached]
-        reached.update(frontier)
-    if len(reached) != dfa.state_count:
-        return False
-    trans = np.array(dfa.transitions, dtype=np.int64)
-    accept = np.zeros(dfa.state_count, dtype=bool)
-    accept[list(dfa.accepting)] = True
-    table = accept[:, None] != accept[None, :]
+    reached = [dfa.start]
+    for s in reached:
+        reached += [t for t in dict.fromkeys(dfa.transitions[s]) if t not in reached]
+    cls = {s: int(s in dfa.accepting) for s in reached}
+    count = len(set(cls.values()))
     while True:
-        grown = table.copy()
-        for si in range(len(dfa.alphabet)):
-            succ = trans[:, si]
-            grown |= table[np.ix_(succ, succ)]
-        if (grown == table).all():
+        signature = {s: (cls[s],) + tuple(cls[t] for t in dfa.transitions[s]) for s in reached}
+        names = {sig: i for i, sig in enumerate(sorted(set(signature.values())))}
+        cls = {s: names[signature[s]] for s in reached}
+        if len(names) == count:
             break
-        table = grown
-    off_diagonal = ~np.eye(dfa.state_count, dtype=bool)
-    return bool(table[off_diagonal].all())
+        count = len(names)
+    number = {cls[dfa.start]: 0}
+    member = {cls[s]: s for s in reversed(reached)}
+    queue = [cls[dfa.start]]
+    rows = []
+    for c in queue:
+        row = []
+        for t in dfa.transitions[member[c]]:
+            if cls[t] not in number:
+                number[cls[t]] = len(queue)
+                queue.append(cls[t])
+            row.append(number[cls[t]])
+        rows.append(tuple(row))
+    accepting = frozenset(number[cls[s]] for s in reached if s in dfa.accepting)
+    return Dfa(dfa.alphabet, tuple(rows), 0, accepting)
 
 
 def tracker_dfa(x, y, alphabet, rel):

@@ -26,9 +26,9 @@ from helpers import (
     BIN,
     TERN,
     containing,
-    is_minimal,
     level_acceptance,
     level_mark_counts,
+    naive_minimize,
     nonempty_words_upto,
     tracker_dfa,
     word_from_index,
@@ -290,11 +290,36 @@ def test_minimize_keeps_minimal_dfas():
     for a in _trackers():
         small = minimize(a)
         assert small.state_count < a.state_count
-        assert is_minimal(small)
+        assert naive_minimize(small) == small
         assert minimize(small) == small
     for rel in Relation:
         dfa = build_comparison_dfa("000100", "1000", BIN, rel)
         assert minimize(dfa) == dfa
+
+
+def _random_dfa(rng):
+    """1-25 states over 1-4 symbols, any start; some states unreachable, at times all or none accepting."""
+    n, k = rng.randint(1, 25), rng.randint(1, 4)
+    # successors drawn from a prefix of the states leave the rest unreachable, unless the start is there
+    span = rng.choice([n, n, rng.randint(1, n)])
+    rows = tuple(tuple(rng.randrange(span) for _ in range(k)) for _ in range(n))
+    share = rng.choice([0.0, 1.0, rng.random(), rng.random()])
+    accepting = frozenset(s for s in range(n) if rng.random() < share)
+    return Dfa(Alphabet("0123"[:k]), rows, rng.randrange(n), accepting)
+
+
+def test_minimize_matches_a_naive_reference():
+    """minimize and Moore refinement give the same JSON on random DFAs and on trackers
+    whose states mostly have no predecessor on some symbol."""
+    rng = random.Random(1971)
+    subjects = [_random_dfa(rng) for _ in range(6000)]
+    for n in (2, 3, 8, 9, 40, 81, 160):
+        for rel in Relation:
+            subjects.append(tracker_dfa("0" * n, "0" * (n // 2), TERN, rel))
+    for a in subjects:
+        assert serialize(minimize(a), "json") == serialize(naive_minimize(a), "json"), a
+    sizes = {minimize(a).state_count for a in subjects}
+    assert {1, 2} < sizes and max(sizes) >= 20
 
 
 def test_shortest_accepted_examples():

@@ -285,6 +285,8 @@ def _border_chain_overlaps(x):
 
 
 def test_overlaps_follow_the_border_chain():
+    """_overlaps is the border chain less the proper multiples of the smallest
+    period, and for any y the first overlap avoiding y is the chain's first."""
     rng = random.Random(11)
     words = []
     for _ in range(3000):
@@ -300,12 +302,41 @@ def test_overlaps_follow_the_border_chain():
     for n in list(range(1, 40)) + [199, 1000, 2000]:
         words += ["0" * n, ("01" * n)[:n], "a" * n]
     words += ["".join(rng.choice("01") for _ in range(60)) for _ in range(300)]
-    planted = 0
+    planted = skipped = 0
     for x in words:
+        chain = _border_chain_overlaps(x)
         got = list(interlace._overlaps(x))
-        assert got == _border_chain_overlaps(x), x
+        p0 = len(chain[0]) - len(x) if chain else 0
+        assert got == [z for z in chain if z == chain[0] or (len(z) - len(x)) % p0], x
+        skipped += len(chain) - len(got)
+        for z in chain[:: max(len(chain) // 4, 1)]:
+            # a factor of one overlap, so it occurs in some overlaps and maybe not in others
+            i = rng.randrange(len(z))
+            y = z[i : i + rng.randint(1, len(x) + 2)]
+            first = next((w for w in chain if y not in w), None)
+            assert next((w for w in got if y not in w), None) == first, (x, y)
         planted += any(len(z) - len(x) in (len(x) - 7, len(x) - 8, len(x) - 9) for z in got)
+    assert skipped > 1000
     assert planted > 100  # borders of 7, 8 and 9 letters, either side of the 8-letter head
+
+
+def test_walk_tries_one_overlap_of_a_unary_pattern(monkeypatch):
+    """The overlaps of 0^n all contain 0^(n+1) once the first does, so the walk
+    tries only the first and stays linear in n."""
+    overlaps = interlace._overlaps
+    tried = []
+
+    def counted(x):
+        for z in overlaps(x):
+            tried.append(z)
+            yield z
+
+    monkeypatch.setattr(interlace, "_overlaps", counted)
+    for n in (2, 7, 8, 9, 160, 2000):
+        for alphabet, zero, witness in [(BIN, "0", "0" * n + "1" + "0" * n), (UNARY, "a", None)]:
+            tried.clear()
+            assert interlaced(zero * n, zero * (n + 1), alphabet).witness == witness
+            assert tried == [zero * (n + 1)], (n, alphabet)
 
 
 def test_no_decision_path_builds_an_automaton(monkeypatch, capsys):
