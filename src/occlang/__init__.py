@@ -11,14 +11,13 @@ non-regular case, and ships the brute-force oracles used to validate it all.
 from .words import (
     Alphabet,
     BorderDecomposition,
-    Borderedness,
     PowerCountParams,
     Word,
     border_lengths,
-    classify_bordered,
     commutes,
     count_occurrences,
     decompose_bordered,
+    is_bordered,
     power_count_params,
 )
 from .automata import (
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "BorderDecomposition",
-    "Borderedness",
     "CensusReport",
     "DeBruijnWord",
     "Dfa",
@@ -90,7 +88,6 @@ __all__ = [
     "bounded_equal_census",
     "bounded_equivalence",
     "build_comparison_dfa",
-    "classify_bordered",
     "combine",
     "commutes",
     "complement",
@@ -107,6 +104,7 @@ __all__ = [
     "in_b_x",
     "in_class_a",
     "interlaced",
+    "is_bordered",
     "is_interlaced_by",
     "is_finite_pair",
     "matcher_automaton",

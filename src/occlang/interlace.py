@@ -2,14 +2,13 @@
 
 ``x is interlaced by y`` means y occurs in every x-bordered word, and every
 function here takes its arguments in that one orientation.  The reference
-method intersects the bordered-word recognizer with a pattern avoider and
-checks emptiness; its shortest accepted word is the canonical witness.  The
-decision builds no automaton.  Over two or more symbols the paper's
-corollaries make a constant-length padding test exact: y occurs in every
-x-bordered word iff it occurs in x·t·x for all eight binary t of length 3 (no
-shorter length works for every pair), or, over three or more symbols, for
-every single symbol t.  The same bound finds the canonical witness: it is one
-of the few x-bordered words of length at most 2|x| plus the padding length.
+method intersects the x-bordered-word recognizer with a y-avoider and checks
+emptiness; its shortest accepted word is the canonical witness.  The decision,
+interlaced, builds no automaton: by the paper's corollaries, if any
+x-bordered word avoids y then some x·t·x does with |t| = 3 (|t| = 1 over
+three or more symbols), so walking the x-bordered words of at most 2|x| + 3
+letters, shortest first, decides the question and finds the canonical
+witness at once.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import enum
 import re
 from itertools import chain, product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .automata import (
     Dfa,
@@ -54,17 +53,17 @@ class InterlaceVerdict(NamedTuple):
 
 
 def avoider_automaton(x: Word, y: Word, alphabet: Alphabet) -> Dfa:
-    """DFA for the y-bordered words that contain no occurrence of x.
+    """DFA for the x-bordered words that contain no occurrence of y.
 
-    Product of the 2|y|+3-state bordered-word recognizer with the x-avoider,
-    the x-matcher with state |x| made a rejecting sink, so the full
-    construction never exceeds (|x|+1)(2|y|+3) states.
+    Product of the 2|x|+3-state bordered-word recognizer with the y-avoider,
+    the y-matcher with state |y| made a rejecting sink, so the full
+    construction never exceeds (|y|+1)(2|x|+3) states.
     """
     if not x or not y:
-        raise EmptyPatternError("avoider needs nonempty pattern and border")
-    bordered = grafted_bordered_automaton(y, alphabet)
-    rows = matcher_automaton(x, alphabet).transitions[:-1] + ((len(x),) * len(alphabet),)
-    return combine(bordered, Dfa(alphabet, rows, 0, frozenset(range(len(x)))))
+        raise EmptyPatternError("avoider needs nonempty border and pattern")
+    bordered = grafted_bordered_automaton(x, alphabet)
+    rows = matcher_automaton(y, alphabet).transitions[:-1] + ((len(y),) * len(alphabet),)
+    return combine(bordered, Dfa(alphabet, rows, 0, frozenset(range(len(y)))))
 
 
 def is_interlaced_by(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
@@ -75,7 +74,7 @@ def is_interlaced_by(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
     """
     if not x or not y:
         raise EmptyPatternError("interlacing needs nonempty words")
-    witness = shortest_accepted(avoider_automaton(y, x, alphabet))
+    witness = shortest_accepted(avoider_automaton(x, y, alphabet))
     return InterlaceVerdict(holds=witness is None, witness=witness, method=Method.GENERAL_AUTOMATON)
 
 
@@ -152,9 +151,9 @@ def _overlaps(x: Word) -> Iterator[Word]:
             p0 = p0 or p
 
 
-def _padded(x: Word, symbols: tuple[str, ...], lengths: Iterable[int]) -> Iterator[Word]:
-    """x·t·x for every padding t with |t| in lengths, shortest first, in symbol order."""
-    for length in lengths:
+def _padded(x: Word, symbols: tuple[str, ...], pad: int) -> Iterator[Word]:
+    """x·t·x for every padding t with |t| <= pad, shortest first, in symbol order."""
+    for length in range(pad + 1):
         for t in product(symbols, repeat=length):
             yield x + "".join(t) + x
 
@@ -162,16 +161,17 @@ def _padded(x: Word, symbols: tuple[str, ...], lengths: Iterable[int]) -> Iterat
 def interlaced(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
     """Decide whether x is interlaced by y, with the canonical witness if not.
 
-    Equals is_interlaced_by without building an automaton.  If any x-bordered
-    word avoids y, some x·t·x does with |t| the padding length (3 over two
-    symbols, 1 otherwise), so over two or more symbols testing those paddings
-    decides, and the smallest witness is at most 2|x| + 3 letters long.  The
-    x-bordered words that short are, shortest first, the overlaps x[:p] + x
-    for each period p of x and then x·t·x for |t| = 0, 1, ... in symbol
-    order; they are walked only once the padding test has failed, skipping
-    the overlaps that _overlaps proves cannot come first.  Over one
-    symbol the padding test is not exact and the walk alone decides: its
-    first candidate, a^(|x|+1), settles it.
+    Equals is_interlaced_by without building an automaton.  Let pad be 3
+    over two symbols and 1 otherwise.  The x-bordered words of at most
+    2|x| + pad letters are, shortest first, the overlaps x[:p] + x for each
+    period p of x and then x·t·x for |t| = 0, ..., pad in symbol order.  The
+    walk tries them in that order, skipping only the overlaps that _overlaps
+    proves cannot come first, and its first word avoiding y is the witness.
+    If none avoids y, x is interlaced by y: over two or more symbols, by the
+    paper's corollaries, if any x-bordered word avoids y then some x·t·x with
+    |t| = pad does (over two symbols no shorter length works for every pair);
+    over one symbol every x-bordered word contains the shortest one,
+    a^(|x|+1), which the walk tries first.
     """
     if not x or not y:
         raise EmptyPatternError("interlacing needs nonempty words")
@@ -179,11 +179,9 @@ def interlaced(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
     alphabet.require(y)
     symbols = alphabet.symbols
     if len(symbols) == 2:
-        pad_length, tag = 3, Method.LENGTH_THREE
+        pad, tag = 3, Method.LENGTH_THREE
     else:
-        pad_length, tag = 1, Method.SINGLE_LETTER
-    if len(symbols) >= 2 and all(y in z for z in _padded(x, symbols, (pad_length,))):
-        return InterlaceVerdict(holds=True, witness=None, method=tag)
-    candidates = chain(_overlaps(x), _padded(x, symbols, range(pad_length + 1)))
+        pad, tag = 1, Method.SINGLE_LETTER
+    candidates = chain(_overlaps(x), _padded(x, symbols, pad))
     witness = next((z for z in candidates if y not in z), None)
     return InterlaceVerdict(holds=witness is None, witness=witness, method=tag)

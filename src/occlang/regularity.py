@@ -36,6 +36,7 @@ from .words import (
     commutes,
     count_occurrences,
     decompose_bordered,
+    is_bordered,
     power_count_params,
 )
 
@@ -152,14 +153,13 @@ def decide_regularity(x: Word, y: Word, alphabet: Alphabet) -> RegularityOutcome
 
 
 def non_regularity_certificate(x: Word, y: Word, alphabet: Alphabet) -> NonRegularityCertificate:
-    """Build and verify the certificate for a pair where neither interlacing holds."""
-    r = interlaced(y, x, alphabet).witness
-    s = interlaced(x, y, alphabet).witness
-    if r is None or s is None:
+    """The verified certificate of decide_regularity, for a pair where neither interlacing holds."""
+    outcome = decide_regularity(x, y, alphabet)
+    if outcome.regular:
         raise CriterionHoldsError(
             "an interlacing direction holds, so the comparison languages are regular"
         )
-    return _certificate(x, y, r, s)
+    return outcome.certificate
 
 
 def _certificate(x: Word, y: Word, r: Word, s: Word) -> NonRegularityCertificate:
@@ -188,10 +188,13 @@ def _certificate(x: Word, y: Word, r: Word, s: Word) -> NonRegularityCertificate
 
 def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> None:
     problems = []
-    if not (cert.r != y and cert.r.startswith(y) and cert.r.endswith(y)):
+    if not is_bordered(cert.r, y):
         problems.append("r is not y-bordered")
-    if not (cert.s != x and cert.s.startswith(x) and cert.s.endswith(x)):
+    if not is_bordered(cert.s, x):
         problems.append("s is not x-bordered")
+    for name, dec, word, border in (("r", cert.dec_r, cert.r, y), ("s", cert.dec_s, cert.s, x)):
+        if not dec.u or dec.border() != border or dec.bordered_word() != word:
+            problems.append(f"dec_{name} does not decompose {name}")
     if count_occurrences(cert.r, x):
         problems.append("r contains x")
     if count_occurrences(cert.s, y):

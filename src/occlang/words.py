@@ -7,7 +7,6 @@ deterministic tie-break is needed (witness search, serialization).
 
 from __future__ import annotations
 
-import enum
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
@@ -97,25 +96,11 @@ def border_lengths(w: Word) -> list[int]:
     return [b for b in range(1, len(w)) if w[:b] == w[-b:]]
 
 
-class Borderedness(enum.Enum):
-    NOT_BORDERED = "not-bordered"
-    DISJOINT = "disjoint"
-    OVERLAPPING = "overlapping"
-
-
-def classify_bordered(z: Word, y: Word) -> Borderedness:
-    """Whether z is y-bordered, and if so whether the two copies of y overlap.
-
-    z is y-bordered when z != y and y is both a prefix and a suffix of z; the
-    copies are disjoint when |y| <= |z|/2 and overlapping otherwise.
-    """
+def is_bordered(z: Word, y: Word) -> bool:
+    """Whether z is y-bordered: z != y and y is both a prefix and a suffix of z."""
     if not y:
         raise EmptyPatternError("borders must be nonempty")
-    if z == y or not (z.startswith(y) and z.endswith(y)):
-        return Borderedness.NOT_BORDERED
-    if 2 * len(y) <= len(z):
-        return Borderedness.DISJOINT
-    return Borderedness.OVERLAPPING
+    return z != y and z.startswith(y) and z.endswith(y)
 
 
 class BorderDecomposition(NamedTuple):
@@ -153,7 +138,7 @@ def decompose_bordered(z: Word, y: Word) -> BorderDecomposition:
     Deterministic choice: the period is |z| - |y|, e = floor((|y|-1)/period),
     and u is the prefix of y of length |y| - e*period.
     """
-    if classify_bordered(z, y) is Borderedness.NOT_BORDERED:
+    if not is_bordered(z, y):
         raise NotBorderedError(f"{z!r} is not {y!r}-bordered")
     period = len(z) - len(y)
     e = (len(y) - 1) // period

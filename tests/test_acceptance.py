@@ -45,7 +45,7 @@ def binary_sweep():
     out = {}
     for x in nonempty_words_upto(BIN, 4):
         for y in nonempty_words_upto(BIN, 5):
-            out[(x, y)] = shortest_accepted(avoider_automaton(x, y, BIN))
+            out[(x, y)] = shortest_accepted(avoider_automaton(y, x, BIN))
     return out
 
 
@@ -55,7 +55,7 @@ def ternary_sweep():
     out = {}
     for x in nonempty_words_upto(TERN, 3):
         for y in nonempty_words_upto(TERN, 3):
-            out[(x, y)] = shortest_accepted(avoider_automaton(x, y, TERN))
+            out[(x, y)] = shortest_accepted(avoider_automaton(y, x, TERN))
     return out
 
 
@@ -102,7 +102,7 @@ def test_criterion_04_remark_reproduction():
         "".join(t) for t in product("01", repeat=3) if x not in y + "".join(t) + y
     }
     fast = interlaced(y, x, BIN)
-    witness = shortest_accepted(avoider_automaton(x, y, BIN))
+    witness = shortest_accepted(avoider_automaton(y, x, BIN))
     segment_ok = witness is not None and (y + "110" + y) in witness
     fast_ok = not fast.holds and fast.method is Method.LENGTH_THREE
     ok = short_ok and len(pads_up_to_two) == 7 and failures == {"110"} and fast_ok and segment_ok
@@ -121,7 +121,7 @@ def test_criterion_05_corollary_equivalence_binary():
     for x in nonempty_words_upto(BIN, 4):
         for y in nonempty_words_upto(BIN, 5):
             pairs += 1
-            empty = shortest_accepted(avoider_automaton(x, y, BIN)) is None
+            empty = shortest_accepted(avoider_automaton(y, x, BIN)) is None
             fast = interlaced(y, x, BIN)
             if fast.method is not Method.LENGTH_THREE or fast.holds != empty:
                 disagreements += 1
@@ -210,7 +210,7 @@ def test_criterion_09_class_b_lemma():
         for y in nonempty_words_upto(BIN, 8):
             expected = (
                 count_occurrences(y, x) == 0
-                and shortest_accepted(avoider_automaton(x, y, BIN)) is None
+                and shortest_accepted(avoider_automaton(y, x, BIN)) is None
             )
             checked += 1
             if in_b_x(y, x) != expected:

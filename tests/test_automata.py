@@ -5,16 +5,15 @@ import pytest
 
 from occlang import (
     Alphabet,
-    Borderedness,
     Dfa,
     Relation,
     build_comparison_dfa,
-    classify_bordered,
     combine,
     complement,
     count_occurrences,
     from_json,
     grafted_bordered_automaton,
+    is_bordered,
     matcher_automaton,
     minimize,
     serialize,
@@ -141,7 +140,7 @@ def test_grafted_state_count_and_membership_exhaustively():
         g = grafted_bordered_automaton(y, BIN)
         assert g.state_count == 2 * len(y) + 3
         for z in words_upto(BIN, 10):
-            assert g.accepts(z) == (classify_bordered(z, y) is not Borderedness.NOT_BORDERED)
+            assert g.accepts(z) == is_bordered(z, y)
 
 
 def _starts_with_zero():
@@ -165,7 +164,7 @@ def test_combine_examples():
     assert shortest_accepted(avoid) is None
     # cross-check: every 01-bordered word up to length 10 contains 10
     for z in words_upto(BIN, 10):
-        if classify_bordered(z, "01") is not Borderedness.NOT_BORDERED:
+        if is_bordered(z, "01"):
             assert "10" in z
 
 
@@ -330,7 +329,7 @@ def test_shortest_accepted_examples():
     brute = [
         z
         for z in words_upto(BIN, 4)
-        if classify_bordered(z, "01") is not Borderedness.NOT_BORDERED
+        if is_bordered(z, "01")
     ]
     assert brute == ["0101"]
 

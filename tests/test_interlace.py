@@ -24,7 +24,7 @@ from occlang.errors import (
     NotInClassAError,
 )
 
-from helpers import BIN, TERN, UNARY, nonempty_words_upto
+from helpers import BIN, TERN, UNARY, nonempty_words_upto, words_upto
 
 
 def _is_bordered(z, y):
@@ -33,26 +33,37 @@ def _is_bordered(z, y):
 
 def test_avoider_language_examples():
     # every 000100-bordered word contains 1000, so that avoider is empty ...
-    assert shortest_accepted(avoider_automaton("1000", "000100", BIN)) is None
+    assert shortest_accepted(avoider_automaton("000100", "1000", BIN)) is None
     assert all("1000" in z for z in enumerate_bordered("000100", BIN, 14))
 
     # ... while some 1000-bordered word avoids 000100 (the swapped roles)
-    w = shortest_accepted(avoider_automaton("000100", "1000", BIN))
+    w = shortest_accepted(avoider_automaton("1000", "000100", BIN))
     assert w == "100011000"
     assert _is_bordered(w, "1000") and "000100" not in w
     assert any("000100" not in z for z in enumerate_bordered("1000", BIN, len(w)))
 
     # every 01-bordered binary word contains 10
-    assert shortest_accepted(avoider_automaton("10", "01", BIN)) is None
+    assert shortest_accepted(avoider_automaton("01", "10", BIN)) is None
     assert all("10" in z for z in enumerate_bordered("01", BIN, 16))
 
     # but not over three symbols
-    assert shortest_accepted(avoider_automaton("10", "01", TERN)) == "01201"
+    assert shortest_accepted(avoider_automaton("01", "10", TERN)) == "01201"
+
+
+def test_avoider_accepts_the_x_bordered_words_avoiding_y():
+    for alphabet, bound, length in [(BIN, 3, 9), (TERN, 2, 6)]:
+        words = list(nonempty_words_upto(alphabet, bound))
+        for x in words:
+            bordered = enumerate_bordered(x, alphabet, length)
+            for y in words:
+                aut = avoider_automaton(x, y, alphabet)
+                accepted = [z for z in words_upto(alphabet, length) if aut.accepts(z)]
+                assert accepted == [z for z in bordered if y not in z], (x, y)
 
 
 def test_avoider_state_bound():
     for x, y in [("1000", "000100"), ("10", "01"), ("111", "0")]:
-        aut = avoider_automaton(x, y, BIN)
+        aut = avoider_automaton(y, x, BIN)
         assert aut.state_count <= (len(x) + 1) * (2 * len(y) + 3)
 
 
@@ -88,7 +99,7 @@ def test_fast_single_letter_agrees_with_general_method():
     for x in nonempty_words_upto(TERN, 2):
         for y in nonempty_words_upto(TERN, 2):
             fast = interlaced(y, x, TERN)
-            general = shortest_accepted(avoider_automaton(x, y, TERN)) is None
+            general = shortest_accepted(avoider_automaton(y, x, TERN)) is None
             assert fast.method is Method.SINGLE_LETTER
             assert fast.holds == general
 
@@ -104,7 +115,7 @@ def test_fast_length_three_agrees_with_general_method_smoke():
     for x in nonempty_words_upto(BIN, 3):
         for y in nonempty_words_upto(BIN, 3):
             fast = interlaced(y, x, BIN)
-            general = shortest_accepted(avoider_automaton(x, y, BIN)) is None
+            general = shortest_accepted(avoider_automaton(y, x, BIN)) is None
             assert fast.method is Method.LENGTH_THREE
             assert fast.holds == general
 
@@ -146,7 +157,7 @@ def test_in_b_x_matches_its_characterization():
     for y in nonempty_words_upto(BIN, 6):
         expected = (
             count_occurrences(y, x) == 0
-            and shortest_accepted(avoider_automaton(x, y, BIN)) is None
+            and shortest_accepted(avoider_automaton(y, x, BIN)) is None
         )
         assert in_b_x(y, x) == expected
 
@@ -162,7 +173,7 @@ def test_in_b_x_all_four_shapes():
         assert in_b_x(y, x)
         expected = (
             count_occurrences(y, x) == 0
-            and shortest_accepted(avoider_automaton(x, y, BIN)) is None
+            and shortest_accepted(avoider_automaton(y, x, BIN)) is None
         )
         assert expected
 
@@ -239,9 +250,15 @@ def test_bordered_walk_matches_the_automaton_exhaustively():
     found = 0
     for alphabet, bound in [(BIN, 5), (TERN, 3), (Alphabet("ab"), 4), (UNARY, 6)]:
         words = list(nonempty_words_upto(alphabet, bound))
+        # the paper's corollary, apart from the walk: over two or more symbols
+        # the paddings of one length decide alone
+        paddings = list(alphabet.words_of_length(3 if len(alphabet) == 2 else 1))
         for x in words:
             for y in words:
-                found += _walk_matches_the_automaton(x, y, alphabet) is not None
+                witness = _walk_matches_the_automaton(x, y, alphabet)
+                found += witness is not None
+                if len(alphabet) >= 2:
+                    assert (witness is None) == all(y in x + t + x for t in paddings), (x, y)
     assert found  # both outcomes occur
 
 

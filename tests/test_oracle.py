@@ -6,19 +6,18 @@ import pytest
 
 from occlang import (
     Alphabet,
-    Borderedness,
     Dfa,
     Relation,
     bounded_census,
     bounded_equal_census,
     bounded_equivalence,
     build_comparison_dfa,
-    classify_bordered,
     complement,
     count_occurrences,
     counter_membership,
     enumerate_bordered,
     grafted_bordered_automaton,
+    is_bordered,
 )
 from occlang import automata, cli, regularity
 from occlang.errors import BudgetExceededError, EmptyPatternError
@@ -314,11 +313,7 @@ def test_enumerate_bordered_budget(monkeypatch):
 
 def test_enumerate_bordered_matches_classification():
     for y in nonempty_words_upto(BIN, 4):
-        expected = [
-            z
-            for z in words_upto(BIN, 10)
-            if classify_bordered(z, y) is not Borderedness.NOT_BORDERED
-        ]
+        expected = [z for z in words_upto(BIN, 10) if is_bordered(z, y)]
         got = enumerate_bordered(y, BIN, 10)
         assert got == expected
 

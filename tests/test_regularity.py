@@ -8,6 +8,7 @@ import pytest
 
 from occlang import (
     Alphabet,
+    BorderDecomposition,
     Direction,
     Relation,
     build_comparison_dfa,
@@ -22,6 +23,7 @@ from occlang import (
     straddle_count,
 )
 from occlang.errors import (
+    CertificateError,
     CriterionHoldsError,
     EmptyPatternError,
     ForeignSymbolError,
@@ -155,6 +157,24 @@ def test_certificate_golden_ternary():
     assert cert.s == "01201"
 
 
+@pytest.mark.parametrize("x, y, symbols", [("0011", "1100", "01"), ("01", "10", "012"), ("10100", "01001010", "01")])
+def test_certificate_self_check_rejects_mutations(x, y, symbols):
+    cert = non_regularity_certificate(x, y, Alphabet(symbols))
+    regularity._verify_certificate(cert, x, y)
+    mutants = [cert._replace(r=y + x + y)]
+    for delta in (-1, 1):
+        for field in ("m", "n", "c", "d", "c_prime", "d_prime"):
+            mutants.append(cert._replace(**{field: getattr(cert, field) + delta}))
+        mutants.append(cert._replace(dec_r=cert.dec_r._replace(e=cert.dec_r.e + delta)))
+        mutants.append(cert._replace(dec_s=cert.dec_s._replace(e=cert.dec_s.e + delta)))
+    for name in ("dec_r", "dec_s"):
+        u, v, e = getattr(cert, name)
+        mutants.append(cert._replace(**{name: BorderDecomposition(v, u, e)}))
+    for mutant in mutants:
+        with pytest.raises(CertificateError):
+            regularity._verify_certificate(mutant, x, y)
+
+
 def test_decide_regularity_checks_each_word_once_per_direction(monkeypatch):
     checked = []
     require = Alphabet.require
@@ -177,7 +197,7 @@ def test_certificate_rejected_for_regular_pairs():
 
 
 def test_padding_decision_matches_the_automaton(binary_grid):
-    """decide_regularity's padding test agrees with automaton emptiness both ways."""
+    """decide_regularity's walk agrees with automaton emptiness both ways."""
     ternary = list(nonempty_words_upto(TERN, 3))
     cases = [(x, y, BIN, o) for (x, y), o in binary_grid.items()]
     cases += [(x, y, TERN, decide_regularity(x, y, TERN)) for x in ternary for y in ternary]

@@ -3,12 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from occlang import (
-    Borderedness,
     border_lengths,
-    classify_bordered,
     commutes,
     count_occurrences,
     decompose_bordered,
+    is_bordered,
     power_count_params,
 )
 from occlang.errors import (
@@ -54,20 +53,20 @@ def test_border_lengths_examples():
         border_lengths("")
 
 
-def test_classify_bordered_examples():
-    assert classify_bordered("entanglement", "ent") is Borderedness.DISJOINT
-    assert classify_bordered("alfalfa", "alfa") is Borderedness.OVERLAPPING
-    assert classify_bordered("ent", "ent") is Borderedness.NOT_BORDERED
-    assert classify_bordered("en", "ent") is Borderedness.NOT_BORDERED
+def test_is_bordered_examples():
+    assert is_bordered("entanglement", "ent")
+    assert is_bordered("alfalfa", "alfa")
+    assert not is_bordered("ent", "ent")
+    assert not is_bordered("en", "ent")
     with pytest.raises(EmptyPatternError):
-        classify_bordered("abc", "")
+        is_bordered("abc", "")
 
 
 def test_border_lengths_agree_with_classification():
     for w in nonempty_words_upto(BIN, 12):
         borders = set(border_lengths(w))
         for b in range(1, len(w)):
-            is_border = classify_bordered(w, w[:b]) is not Borderedness.NOT_BORDERED
+            is_border = is_bordered(w, w[:b])
             assert (b in borders) == is_border
 
 
