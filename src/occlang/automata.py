@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     AlphabetMismatchError,
@@ -65,22 +65,12 @@ class Dfa(_DfaFields):
     def state_count(self) -> int:
         return len(self.transitions)
 
-    def run(self, word: Word) -> Iterator[int]:
-        """States visited after each symbol of word (start state not included)."""
+    def accepts(self, word: Word) -> bool:
         state = self.start
         index = self.alphabet.index
         for ch in word:
             state = self.transitions[state][index(ch)]
-            yield state
-
-    def final_state(self, word: Word) -> int:
-        state = self.start
-        for state in self.run(word):
-            pass
-        return state
-
-    def accepts(self, word: Word) -> bool:
-        return self.final_state(word) in self.accepting
+        return state in self.accepting
 
 
 def matcher_automaton(p: Word, alphabet: Alphabet) -> Dfa:

@@ -29,161 +29,97 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_alphabet_flags(sub):
-    sub.add_argument("--alphabet", help="alphabet symbols in order, e.g. 01 or 012")
-    sub.add_argument(
-        "--infer-alphabet",
-        action="store_true",
-        help="infer the alphabet from the input words (sorted distinct symbols)",
-    )
-
-
-def _add_json_flag(sub):
-    sub.add_argument("--json", action="store_true", help="machine-readable JSON output")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process (parse_args leaves it unchanged)."""
     parser = _Parser(prog="occlang", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("count", help="count overlapping occurrences of a pattern")
-    p.add_argument("word")
-    p.add_argument("pattern")
-    _add_json_flag(p)
+    def command(name, run, summary, *words, alphabet=True, infer=True, as_json=True, **options):
+        """Subcommand name: its words, the alphabet flags, each option as --option, then --json."""
+        p = commands.add_parser(name, help=summary)
+        for word in words:
+            # a de Bruijn order is the only numeric word
+            p.add_argument(word, type=int if word == "order" else None)
+        if alphabet:
+            p.add_argument("--alphabet", help="alphabet symbols in order, e.g. 01 or 012")
+        if alphabet and infer:
+            p.add_argument(
+                "--infer-alphabet",
+                action="store_true",
+                help="infer the alphabet from the input words (sorted distinct symbols)",
+            )
+        for option, spec in options.items():
+            p.add_argument("--" + option.replace("_", "-"), **spec)
+        if as_json:
+            p.add_argument("--json", action="store_true", help="machine-readable JSON output")
+        p.set_defaults(run=run, words=words)
 
-    p = commands.add_parser("interlaced", help="is X interlaced by Y (Y in every X-bordered word)?")
-    p.add_argument("x")
-    p.add_argument("y")
-    _add_alphabet_flags(p)
-    p.add_argument("--method", choices=["auto", "general"], default="auto")
-    _add_json_flag(p)
-
-    p = commands.add_parser("regular", help="are the occurrence-comparison languages for X, Y regular?")
-    p.add_argument("x")
-    p.add_argument("y")
-    _add_alphabet_flags(p)
-    p.add_argument("--relation", choices=[r.value for r in regularity.Relation], default="eq")
-    _add_json_flag(p)
-
-    p = commands.add_parser("dfa", help="emit the minimal DFA for |z|_X rel |z|_Y")
-    p.add_argument("x")
-    p.add_argument("y")
-    _add_alphabet_flags(p)
-    p.add_argument("--relation", choices=[r.value for r in regularity.Relation], default="eq")
-    p.add_argument("--out", choices=["dot", "json"], default="json")
-
-    p = commands.add_parser("witness", help="shortest X-bordered word avoiding Y, or none")
-    p.add_argument("x")
-    p.add_argument("y")
-    _add_alphabet_flags(p)
-    _add_json_flag(p)
-
-    p = commands.add_parser("finite", help="is the occurrence-equality language for X, Y finite?")
-    p.add_argument("x")
-    p.add_argument("y")
-    _add_alphabet_flags(p)
-    _add_json_flag(p)
-
-    p = commands.add_parser("debruijn", help="canonical cyclic de Bruijn word of a given order")
-    p.add_argument("order", type=int)
-    _add_alphabet_flags(p)
-    _add_json_flag(p)
-
-    p = commands.add_parser("validate", help="cross-check the decision procedures against the oracle")
-    p.add_argument("x")
-    p.add_argument("y")
-    _add_alphabet_flags(p)
-    p.add_argument("--max-len", type=int, default=10)
-    _add_json_flag(p)
-
+    relations = [r.value for r in regularity.Relation]
+    command("count", _count, "count overlapping occurrences of a pattern", "word", "pattern",
+            alphabet=False)
+    command("interlaced", _interlaced, "is X interlaced by Y (Y in every X-bordered word)?", "x", "y")
+    command("regular", _regular, "are the occurrence-comparison languages for X, Y regular?", "x", "y")
+    command("dfa", _dfa, "emit the minimal DFA for |z|_X rel |z|_Y", "x", "y", as_json=False,
+            relation=dict(choices=relations, default="eq"),
+            out=dict(choices=["dot", "json"], default="json"))
+    command("witness", _witness, "shortest X-bordered word avoiding Y, or none", "x", "y")
+    command("finite", _finite, "is the occurrence-equality language for X, Y finite?", "x", "y")
+    command("debruijn", _debruijn, "canonical cyclic de Bruijn word of a given order", "order",
+            infer=False)
+    command("validate", _validate, "cross-check the decision procedures against the oracle", "x", "y",
+            max_len=dict(type=int, default=10))
     return parser
 
 
-def _resolve_alphabet(args, *inputs: str) -> Alphabet:
+def _alphabet(args) -> Alphabet:
+    """The --alphabet given, or under --infer-alphabet the symbols of x and y; x and y must be over it."""
+    words = (args.x, args.y) if "x" in args else ()
     if args.alphabet is not None:
         alphabet = Alphabet(args.alphabet)
+    elif "infer_alphabet" not in args:
+        raise OcclangError(f"{args.command} requires an explicit --alphabet")
     elif args.infer_alphabet:
-        symbols = sorted(set("".join(inputs)))
+        symbols = sorted(set("".join(words)))
         if not symbols:
             raise OcclangError("cannot infer an alphabet from empty inputs")
         alphabet = Alphabet(symbols)
     else:
         raise OcclangError("an explicit --alphabet is required (or pass --infer-alphabet)")
-    for w in inputs:
+    for w in words:
         alphabet.require(w)
     return alphabet
 
 
-def _emit(doc: dict, human: str, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(human)
+# Each handler but _dfa returns its JSON fields and its human text; main prints one of them.
 
 
-def _alphabet_list(alphabet: Alphabet) -> list[str]:
-    return list(alphabet.symbols)
-
-
-def _cmd_count(args) -> int:
+def _count(args, alphabet):
     n = count_occurrences(args.word, args.pattern)
-    _emit({"command": "count", "word": args.word, "pattern": args.pattern, "count": n}, str(n), args.json)
-    return 0
+    return {"count": n}, str(n)
 
 
-def _cmd_interlaced(args) -> int:
-    alphabet = _resolve_alphabet(args, args.x, args.y)
-    decide = interlace.is_interlaced_by if args.method == "general" else interlace.interlaced
-    verdict = decide(args.x, args.y, alphabet)
-    doc = {
-        "command": "interlaced",
-        "x": args.x,
-        "y": args.y,
-        "alphabet": _alphabet_list(alphabet),
-        "method": verdict.method.value,
-        "holds": verdict.holds,
-        "witness": verdict.witness,
-    }
+def _interlaced(args, alphabet):
+    verdict = interlace.interlaced(args.x, args.y, alphabet)
     if verdict.holds:
         human = f"yes: every {args.x}-bordered word over {{{''.join(alphabet)}}} contains {args.y}"
     else:
         human = f"no: {verdict.witness} is {args.x}-bordered and avoids {args.y}"
-    _emit(doc, human, args.json)
-    return 0
+    return {"method": verdict.method.value, "holds": verdict.holds, "witness": verdict.witness}, human
 
 
-def _outcome_doc(args, alphabet, outcome) -> dict:
-    return {
-        "command": "regular",
-        "x": args.x,
-        "y": args.y,
-        "alphabet": _alphabet_list(alphabet),
-        "relation": args.relation,
-        "regular": outcome.regular,
-        "direction": outcome.direction.value if outcome.direction else None,
-        "certificate": outcome.certificate.to_json_dict() if outcome.certificate else None,
-    }
-
-
-def _cmd_regular(args) -> int:
-    alphabet = _resolve_alphabet(args, args.x, args.y)
+def _regular(args, alphabet):
     outcome = regularity.decide_regularity(args.x, args.y, alphabet)
-    doc = _outcome_doc(args, alphabet, outcome)
     if outcome.regular:
-        human = f"regular over {{{''.join(alphabet)}}} ({outcome.direction.value})"
+        direction, certificate = outcome.direction.value, None
+        human = f"regular over {{{''.join(alphabet)}}} ({direction})"
     else:
-        human = "not regular over {%s}\n%s" % (
-            "".join(alphabet),
-            json.dumps(outcome.certificate.to_json_dict(), indent=2),
-        )
-    _emit(doc, human, args.json)
-    return 0
+        direction, certificate = None, outcome.certificate.to_json_dict()
+        human = f"not regular over {{{''.join(alphabet)}}}\n{json.dumps(certificate, indent=2)}"
+    return {"regular": outcome.regular, "direction": direction, "certificate": certificate}, human
 
 
-def _cmd_dfa(args) -> int:
-    alphabet = _resolve_alphabet(args, args.x, args.y)
+def _dfa(args, alphabet) -> int:
     rel = regularity.Relation(args.relation)
     try:
         dfa = regularity.build_comparison_dfa(args.x, args.y, alphabet, rel)
@@ -194,52 +130,22 @@ def _cmd_dfa(args) -> int:
     return 0
 
 
-def _cmd_witness(args) -> int:
-    alphabet = _resolve_alphabet(args, args.x, args.y)
-    verdict = interlace.interlaced(args.x, args.y, alphabet)
-    doc = {
-        "command": "witness",
-        "x": args.x,
-        "y": args.y,
-        "alphabet": _alphabet_list(alphabet),
-        "witness": verdict.witness,
-    }
-    _emit(doc, verdict.witness if verdict.witness is not None else "none", args.json)
-    return 0
+def _witness(args, alphabet):
+    witness = interlace.interlaced(args.x, args.y, alphabet).witness
+    return {"witness": witness}, witness if witness is not None else "none"
 
 
-def _cmd_finite(args) -> int:
-    alphabet = _resolve_alphabet(args, args.x, args.y)
+def _finite(args, alphabet):
     finite = finiteness.is_finite_pair(args.x, args.y, alphabet)
-    doc = {
-        "command": "finite",
-        "x": args.x,
-        "y": args.y,
-        "alphabet": _alphabet_list(alphabet),
-        "finite": finite,
-    }
-    _emit(doc, "finite" if finite else "infinite", args.json)
-    return 0
+    return {"finite": finite}, "finite" if finite else "infinite"
 
 
-def _cmd_debruijn(args) -> int:
-    if args.alphabet is None:
-        raise OcclangError("debruijn requires an explicit --alphabet")
-    alphabet = Alphabet(args.alphabet)
-    db = finiteness.de_bruijn_word(args.order, alphabet)
-    doc = {
-        "command": "debruijn",
-        "order": db.order,
-        "alphabet": _alphabet_list(alphabet),
-        "word": db.word,
-        "length": len(db.word),
-    }
-    _emit(doc, db.word, args.json)
-    return 0
+def _debruijn(args, alphabet):
+    word = finiteness.de_bruijn_word(args.order, alphabet).word
+    return {"word": word, "length": len(word)}, word
 
 
-def _cmd_validate(args) -> int:
-    alphabet = _resolve_alphabet(args, args.x, args.y)
+def _validate(args, alphabet):
     x, y = args.x, args.y
     max_len = args.max_len
     checks: list[dict] = []
@@ -289,31 +195,10 @@ def _cmd_validate(args) -> int:
             "r and s are the shortest witnesses of the avoider automata",
         )
 
-    doc = {
-        "command": "validate",
-        "x": x,
-        "y": y,
-        "alphabet": _alphabet_list(alphabet),
-        "max_length": max_len,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+    passed = all(c["pass"] for c in checks)
     lines = [f"{'PASS' if c['pass'] else 'FAIL'} {c['name']}: {c['detail']}" for c in checks]
-    lines.append("all checks passed" if doc["pass"] else "SOME CHECKS FAILED")
-    _emit(doc, "\n".join(lines), args.json)
-    return 0
-
-
-_HANDLERS = {
-    "count": _cmd_count,
-    "interlaced": _cmd_interlaced,
-    "regular": _cmd_regular,
-    "dfa": _cmd_dfa,
-    "witness": _cmd_witness,
-    "finite": _cmd_finite,
-    "debruijn": _cmd_debruijn,
-    "validate": _cmd_validate,
-}
+    lines.append("all checks passed" if passed else "SOME CHECKS FAILED")
+    return {"max_length": max_len, "checks": checks, "pass": passed}, "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -323,7 +208,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _HANDLERS[args.command](args)
+        # every document starts with the command, its words and the alphabet
+        doc = {"command": args.command, **{w: getattr(args, w) for w in args.words}}
+        alphabet = None
+        if "alphabet" in args:
+            alphabet = _alphabet(args)
+            doc["alphabet"] = list(alphabet.symbols)
+        if args.command == "dfa":  # prints the DFA, or the certificate with exit code 2
+            return args.run(args, alphabet)
+        fields, human = args.run(args, alphabet)
+        print(json.dumps({**doc, **fields}, indent=2) if args.json else human)
+        return 0
     except (OcclangError, ValueError) as err:
         if getattr(args, "json", False):
             print(json.dumps({"error": {"type": type(err).__name__, "message": str(err)}}, indent=2))

@@ -96,18 +96,7 @@ class NonRegularityCertificate(NamedTuple):
     n: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "dec_r": {"u": self.dec_r.u, "v": self.dec_r.v, "e": self.dec_r.e},
-            "dec_s": {"u": self.dec_s.u, "v": self.dec_s.v, "e": self.dec_s.e},
-            "c": self.c,
-            "d": self.d,
-            "c_prime": self.c_prime,
-            "d_prime": self.d_prime,
-            "m": self.m,
-            "n": self.n,
-        }
+        return {**self._asdict(), "dec_r": self.dec_r._asdict(), "dec_s": self.dec_s._asdict()}
 
 
 class RegularityOutcome(NamedTuple):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from occlang import Alphabet, is_interlaced_by
 from occlang.cli import build_parser, main
 
 
@@ -24,6 +25,28 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), err
+
+
+SUBCOMMANDS = ("count", "interlaced", "regular", "dfa", "witness", "finite", "debruijn", "validate")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_has_help(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and out.startswith(f"usage: occlang {command}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("interlaced", "01", "10", "--alphabet", "01", "--method", "general"),
+        ("regular", "01", "10", "--alphabet", "01", "--relation", "lt"),
+        ("debruijn", "2", "--alphabet", "01", "--infer-alphabet"),
+    ],
+)
+def test_flags_that_changed_nothing_are_gone(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "unrecognized arguments" in err
 
 
 def test_count_human(capsys):
@@ -44,9 +67,7 @@ def test_interlaced_golden(capsys):
     assert doc["holds"] is True
     assert doc["alphabet"] == ["0", "1"]
 
-    code, doc, _ = run_json(
-        capsys, "interlaced", "01", "10", "--alphabet", "012", "--method", "general"
-    )
+    code, doc, _ = run_json(capsys, "interlaced", "01", "10", "--alphabet", "012")
     assert code == 0
     assert doc["holds"] is False and doc["witness"] == "01201"
 
@@ -106,14 +127,11 @@ def test_witness(capsys):
     ],
 )
 def test_interlaced_and_witness_print_the_same_witness(capsys, x, y, symbols):
-    witnesses = []
-    for extra in ([], ["--method", "general"]):
-        code, doc, _ = run_json(capsys, "interlaced", x, y, "--alphabet", symbols, *extra)
+    witnesses = [is_interlaced_by(x, y, Alphabet(symbols)).witness]
+    for command in ("interlaced", "witness"):
+        code, doc, _ = run_json(capsys, command, x, y, "--alphabet", symbols)
         assert code == 0
         witnesses.append(doc["witness"])
-    code, doc, _ = run_json(capsys, "witness", x, y, "--alphabet", symbols)
-    assert code == 0
-    witnesses.append(doc["witness"])
     assert witnesses[0] == witnesses[1] == witnesses[2]
 
 
@@ -275,18 +293,16 @@ def cli_argv(draw):
     else:
         argv = [command, draw(word), draw(word)]
     if command != "count":
+        infer = [] if command == "debruijn" else [["--infer-alphabet"]]
         argv += draw(
             st.sampled_from(
-                [["--alphabet", symbols], ["--infer-alphabet"], []]
+                [["--alphabet", symbols], [], *infer]
                 + [["--alphabet", other] for other in FUZZ_ALPHABETS if other != symbols]
                 + [["--alphabet", bad] for bad in FUZZ_BAD_ALPHABETS]
             )
         )
-    if command == "interlaced":
-        argv += ["--method", draw(st.sampled_from(["auto", "general"]))]
-    if command in ("regular", "dfa"):
-        argv += ["--relation", draw(st.sampled_from(["eq", "ne", "lt", "le", "gt", "ge"]))]
     if command == "dfa":
+        argv += ["--relation", draw(st.sampled_from(["eq", "ne", "lt", "le", "gt", "ge"]))]
         argv += ["--out", draw(st.sampled_from(["json", "dot"]))]
     if command == "validate":
         argv += ["--max-len", str(draw(st.integers(min_value=-10, max_value=10**6)))]
@@ -334,7 +350,7 @@ def test_main_reuses_one_parser_across_subcommands(capsys):
     code, doc, _ = run_json(capsys, "witness", "0011", "1100", "--alphabet", "01")
     assert code == 0 and doc["witness"] == "0011010011"
     code, doc, _ = run_json(capsys, "regular", "01", "10", "--alphabet", "01")
-    assert code == 0 and doc["regular"] is True and doc["relation"] == "eq"
+    assert code == 0 and doc["regular"] is True and "relation" not in doc
 
 
 # The paper's golden pairs (perfbench/workloads.py::GOLDEN) and unary pairs.
@@ -414,8 +430,8 @@ def cli_digest():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         out, err = out.getvalue(), err.getvalue()
-        # The "relation" key of `regular --json` only echoes `regular --relation`, which
-        # changes no answer and is to be removed with it; the digest leaves the key out.
+        # `regular --json` printed "relation": "eq" while `regular --relation`, which changed
+        # no answer, existed; the digest leaves the key out, so it holds before and after.
         out = out.replace('  "relation": "eq",\n', "") if argv[:1] == ["regular"] else out
         record = [argv, code, out, err if err.startswith("error: ") else bool(err)]
         h.update(json.dumps(record).encode())

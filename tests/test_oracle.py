@@ -286,6 +286,24 @@ def test_oracle_answers_do_not_depend_on_the_matcher(forgetful_matcher):
     assert answers() == honest
 
 
+def test_oracle_answers_do_not_depend_on_relation_holds(monkeypatch):
+    dfas = [build_comparison_dfa("01", "10", BIN, rel) for rel in Relation]
+
+    def answers():
+        return (
+            [counter_membership(z, "01", "10", rel) for z in words_upto(BIN, 6) for rel in Relation],
+            [bounded_census("01", "10", BIN, rel, 6) for rel in Relation],
+            [bounded_equivalence(dfa, "01", "10", rel, 6) for dfa, rel in zip(dfas, Relation)],
+        )
+
+    honest = answers()
+    assert counter_membership("01", "01", "10", Relation.LT) is False
+    # a wrong comparison: every relation reads as ">="
+    monkeypatch.setattr(Relation, "holds", lambda self, a, b: a >= b)
+    assert Relation.LT.holds(1, 0)
+    assert answers() == honest
+
+
 def test_enumerate_bordered_examples():
     assert "alfalfa" in enumerate_bordered("alfa", Alphabet("alf"), 7)
     assert enumerate_bordered("01", BIN, 4) == ["0101"]

@@ -91,8 +91,6 @@ def test_dfa_methods_and_round_trips():
     a = build_comparison_dfa("01", "10", BIN, Relation.EQ)
     t = a.transitions
     assert a.state_count == 5 and len(t) == 5
-    assert list(a.run("01")) == [t[a.start][0], t[t[a.start][0]][1]]
-    assert a.final_state("") == a.start and a.final_state("01") == t[t[a.start][0]][1]
     assert a.accepts("0110") and not a.accepts("01")
     assert pickle.loads(pickle.dumps(a)) == a
     ends_aa = matcher_automaton("aa", UNARY)
