@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -141,3 +142,22 @@ def test_finiteness_verdicts():
     assert finiteness_verdict(["01", "10"], BIN) == "infinite"
     assert finiteness_verdict(["0", "1", "00"], BIN) == "unknown"
     assert finiteness_verdict(["00", "11", "01"], BIN) == "infinite"
+
+
+def _de_bruijn_digest():
+    """sha256 over every de Bruijn word within the budget over 2, 3 and 4 symbols."""
+    h = hashlib.sha256()
+    for symbols in ("01", "012", "0123"):
+        alphabet = Alphabet(symbols)
+        order = 1
+        while len(symbols) ** order <= 1 << 20:
+            h.update(f"{symbols}:{order}:{de_bruijn_word(order, alphabet).word};".encode())
+            order += 1
+    return h.hexdigest()
+
+
+def test_de_bruijn_words_are_pinned():
+    """The words of every order within the budget, beyond the few the CLI digest covers."""
+    assert _de_bruijn_digest() == (
+        "3286ff62533687f222d7271232a45b7fffad7b26790150aaa98835d98129ab76"
+    )
