@@ -123,7 +123,7 @@ def grafted_bordered_automaton(y: Word, alphabet: Alphabet) -> Dfa:
     rows.append(tuple(dead for _ in alphabet.symbols))
     for j in range(m + 1):
         rows.append(tuple(base + t for t in kmp[j]))
-    return Dfa(alphabet, tuple(rows), 0, frozenset({base + m}))
+    return Dfa._trusted(alphabet, tuple(rows), 0, frozenset({base + m}))
 
 
 def combine(a: Dfa, b: Dfa) -> Dfa:
@@ -158,7 +158,7 @@ def combine(a: Dfa, b: Dfa) -> Dfa:
     acc = frozenset(
         i for i, (sa, sb) in enumerate(pairs) if sa in a.accepting and sb in b.accepting
     )
-    return Dfa(a.alphabet, tuple(rows), 0, acc)
+    return Dfa._trusted(a.alphabet, tuple(rows), 0, acc)
 
 
 def complement(a: Dfa) -> Dfa:
@@ -186,9 +186,7 @@ def minimize(a: Dfa) -> Dfa:
     so it would split nothing, and the larger part's preimage is the parent's,
     so the larger part keeps the parent's stability.  Only the smaller part is
     scanned and queued, so each state lies in O(log n) processed splitters per
-    symbol and refinement takes O(k·n log n).  When the reachable states all
-    accept or all reject, the one-state DFA is returned before any table is
-    built.
+    symbol and refinement takes O(k·n log n).
     """
     k = len(a.alphabet)
     trans = a.transitions
@@ -204,8 +202,6 @@ def minimize(a: Dfa) -> Dfa:
     elems = [s for s in reach if s in accepting]
     m = len(elems)
     n = len(reach)
-    if m == 0 or m == n:
-        return Dfa._trusted(a.alphabet, ((0,) * k,), 0, frozenset({0} if m else ()))
     elems += [s for s in reach if s not in accepting]
     loc = [0] * a.state_count
     for i, s in enumerate(elems):

@@ -14,8 +14,7 @@ from .errors import (
 from .words import Alphabet, Word
 
 
-# Letters a de Bruijn word may have: order 20 over two symbols, 12 over
-# three.  The cap also bounds the recursion depth of the construction.
+# Letters a de Bruijn word may have: order 20 over two symbols, 12 over three.
 _DE_BRUIJN_BUDGET = 1 << 20
 
 
@@ -45,9 +44,11 @@ def de_bruijn_word(order: int, alphabet: Alphabet) -> DeBruijnWord:
     """The lexicographically least cyclic de Bruijn word of the given order.
 
     Standard necklace construction: concatenate, in lexicographic order, the
-    Lyndon words over the alphabet whose lengths divide the order.  Raises
-    BudgetExceededError, before building anything, when the word would have
-    more than 2^20 letters.
+    Lyndon words over the alphabet whose lengths divide the order, walked
+    without recursion by Duval's successor rule: increment the last letter,
+    repeat the word periodically to the order's length, then drop trailing
+    largest letters.  Raises BudgetExceededError, before building anything,
+    when the word would have more than 2^20 letters.
     """
     if len(alphabet) < 2:
         raise AlphabetTooSmallError("de Bruijn words need at least two symbols")
@@ -60,21 +61,17 @@ def de_bruijn_word(order: int, alphabet: Alphabet) -> DeBruijnWord:
             f"a de Bruijn word of order {order} over {k} symbols "
             f"exceeds the budget of {_DE_BRUIJN_BUDGET} letters"
         )
-    a = [0] * (k * order)
     out: list[int] = []
-
-    def extend(t: int, p: int) -> None:
-        if t > order:
-            if order % p == 0:
-                out.extend(a[1 : p + 1])
-            return
-        a[t] = a[t - p]
-        extend(t + 1, p)
-        for j in range(a[t - p] + 1, k):
-            a[t] = j
-            extend(t + 1, t)
-
-    extend(1, 1)
+    lyndon = [-1]
+    while lyndon:
+        lyndon[-1] += 1
+        p = len(lyndon)
+        if order % p == 0:
+            out.extend(lyndon)
+        while len(lyndon) < order:
+            lyndon.append(lyndon[-p])
+        while lyndon and lyndon[-1] == k - 1:
+            lyndon.pop()
     word = "".join(alphabet.symbols[i] for i in out)
     return DeBruijnWord(word=word, order=order, alphabet_size=k)
 

@@ -63,7 +63,7 @@ def avoider_automaton(x: Word, y: Word, alphabet: Alphabet) -> Dfa:
         raise EmptyPatternError("avoider needs nonempty border and pattern")
     bordered = grafted_bordered_automaton(x, alphabet)
     rows = matcher_automaton(y, alphabet).transitions[:-1] + ((len(y),) * len(alphabet),)
-    return combine(bordered, Dfa(alphabet, rows, 0, frozenset(range(len(y)))))
+    return combine(bordered, Dfa._trusted(alphabet, rows, 0, frozenset(range(len(y)))))
 
 
 def is_interlaced_by(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
@@ -99,22 +99,21 @@ def in_class_a(x: Word) -> bool:
 def in_b_x(y: Word, x: Word) -> bool:
     """Whether y avoids x yet x occurs in every y-bordered word, for x of class-A shape.
 
-    Decided by the explicit regular expression for the matching shape of x;
-    the 1^k0 and 01^k shapes are the 0<->1 relabelings of the 0^k1 and 10^k
-    ones.
+    The 1^k0 and 01^k shapes are the 0<->1 relabelings of the 0^k1 and 10^k
+    ones, so x and y are relabeled first and the explicit regular expression
+    for 0^k1 or 10^k decides (01 and 10 fit both readings, which agree).
     """
     _require_binary(y)
     if not in_class_a(x):
         raise NotInClassAError(f"{x!r} is not of shape 01^+, 10^+, 0^+1 or 1^+0")
+    if x[1] == "1":  # 1^k0 or 01^k
+        swap = str.maketrans("01", "10")
+        x, y = x.translate(swap), y.translate(swap)
     k = len(x) - 1
-    if re.fullmatch("0+1", x):
+    if x[0] == "0":  # 0^k1
         pat = rf"(?:0{{0,{k - 1}}}1)+0{{{k},}}"
-    elif re.fullmatch("10+", x):
+    else:  # 10^k
         pat = rf"0{{{k},}}(?:10{{0,{k - 1}}})+"
-    elif re.fullmatch("1+0", x):
-        pat = rf"(?:1{{0,{k - 1}}}0)+1{{{k},}}"
-    else:  # 01^+
-        pat = rf"1{{{k},}}(?:01{{0,{k - 1}}})+"
     return re.fullmatch(pat, y) is not None
 
 

@@ -276,6 +276,8 @@ def test_minimize_ignores_unreachable_states():
         unreachable = frozenset(range(n, 2 * n + 1))
         padded = Dfa(a.alphabet, rows + ((a.start,) * k,), a.start, a.accepting | unreachable)
         assert minimize(padded) == minimize(a)
+        only_reachable = Dfa(a.alphabet, padded.transitions, a.start, frozenset(range(n)))
+        assert minimize(only_reachable) == Dfa(a.alphabet, ((0,) * k,), 0, frozenset({0}))
         only_unreachable = Dfa(a.alphabet, padded.transitions, a.start, unreachable)
         assert minimize(only_unreachable) == Dfa(a.alphabet, ((0,) * k,), 0, frozenset())
 

@@ -15,6 +15,7 @@ from occlang import (
     commutes,
     complement,
     decide_regularity,
+    decompose_bordered,
     is_interlaced_by,
     matcher_automaton,
     minimize,
@@ -161,7 +162,9 @@ def test_certificate_golden_ternary():
 def test_certificate_self_check_rejects_mutations(x, y, symbols):
     cert = non_regularity_certificate(x, y, Alphabet(symbols))
     regularity._verify_certificate(cert, x, y)
-    mutants = [cert._replace(r=y + x + y)]
+    # y + x + y is y-bordered and its own decomposition rebuilds it, but it contains x
+    yxy = y + x + y
+    mutants = [cert._replace(r=yxy), cert._replace(r=yxy, dec_r=decompose_bordered(yxy, y))]
     for delta in (-1, 1):
         for field in ("m", "n", "c", "d", "c_prime", "d_prime"):
             mutants.append(cert._replace(**{field: getattr(cert, field) + delta}))
