@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import operator
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 from .automata import (
@@ -175,30 +176,44 @@ def _certificate(x: Word, y: Word, r: Word, s: Word) -> NonRegularityCertificate
 
 
 def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> None:
+    """Raise CertificateError naming every check the certificate fails.
+
+    Of the claim for all i > e, j > f, only i in e+1..e+3 and j in f+1..f+3 are
+    checked: a sample, not a range proven sufficient.  Each distinct piece is searched once:
+    - Prefixes: (uv)^i u is a prefix of (uv)^(i+1) u, so x occurs in some (uv)^i u of
+      the sample iff it occurs in (uv)^(e+3) u; likewise y in (pq)^j p.
+    - Seams: an occurrence of p in L·R lies inside L, inside R, or starts in the last
+      |p|-1 letters of L and ends in the first |p|-1 of R, where no whole one fits.
+      For L = (uv)^i that window stays put once |L| >= |p|-1, as (uv)^(i+1) ends in (uv)^i.
+    """
     problems = []
     # With u nonempty, a rebuilt r = (uv)^(e+1) u = uv·y is y-bordered, and it is
-    # the i = e+1 word of the avoidance loop below; likewise s for x and j = f+1.
+    # the i = e+1 word of the avoidance check below; likewise s for x and j = f+1.
     for name, dec, word, border in (("r", cert.dec_r, cert.r, y), ("s", cert.dec_s, cert.s, x)):
         if not dec.u or dec.border() != border or dec.bordered_word() != word:
             problems.append(f"dec_{name} does not decompose {name}")
-    uv = cert.dec_r.period_word()
-    pq = cert.dec_s.period_word()
+    uv, pq = cert.dec_r.period_word(), cert.dec_s.period_word()
     if commutes(uv, pq):
         problems.append("uv and pq commute")
     e, f = cert.dec_r.e, cert.dec_s.e
-    for i in range(e + 1, e + 4):
-        if count_occurrences(uv * i + cert.dec_r.u, x):
-            problems.append(f"x occurs in (uv)^{i} u")
-    for j in range(f + 1, f + 4):
-        if count_occurrences(pq * j + cert.dec_s.u, y):
-            problems.append(f"y occurs in (pq)^{j} p")
-    for i in range(e + 1, e + 4):
-        for j in range(f + 1, f + 4):
-            z = uv * i + pq * j
-            if count_occurrences(z, x) != (j - f) * cert.d_prime + cert.c_prime - cert.d_prime + cert.m:
-                problems.append(f"x-count formula fails at i={i}, j={j}")
-            if count_occurrences(z, y) != (i - e) * cert.d + cert.c - cert.d + cert.n:
-                problems.append(f"y-count formula fails at i={i}, j={j}")
+    for p, block, tail, low, text in ((x, uv, cert.dec_r.u, e, "x occurs in (uv)^{} u"),
+                                       (y, pq, cert.dec_s.u, f, "y occurs in (pq)^{} p")):
+        if count_occurrences(block * (low + 3) + tail, p):
+            failing = [i for i in (low + 1, low + 2) if count_occurrences(block * i + tail, p)]
+            problems += [text.format(i) for i in failing + [low + 3]]
+    lefts, rights = [uv * i for i in range(e + 1, e + 4)], [pq * j for j in range(f + 1, f + 4)]
+    pairs = list(product(lefts, rights))
+    counts = []
+    for p in (x, y):
+        k = len(p) - 1
+        windows = [left[max(len(left) - k, 0) :] + right[:k] for left, right in pairs]
+        found = {w: count_occurrences(w, p) for w in dict.fromkeys(lefts + rights + windows)}
+        counts.append([found[left] + found[right] + found[w] for (left, right), w in zip(pairs, windows)])
+    for (i, j), nx, ny in zip(product(range(e + 1, e + 4), range(f + 1, f + 4)), *counts):
+        if nx != (j - f) * cert.d_prime + cert.c_prime - cert.d_prime + cert.m:
+            problems.append(f"x-count formula fails at i={i}, j={j}")
+        if ny != (i - e) * cert.d + cert.c - cert.d + cert.n:
+            problems.append(f"y-count formula fails at i={i}, j={j}")
     if problems:
         raise CertificateError("invalid certificate: " + "; ".join(problems))
 

@@ -10,7 +10,15 @@ from itertools import product
 
 import numpy as np
 
-from occlang import Alphabet, Dfa, matcher_automaton
+from occlang import (
+    Alphabet,
+    BorderDecomposition,
+    Dfa,
+    commutes,
+    count_occurrences,
+    decompose_bordered,
+    matcher_automaton,
+)
 from occlang.regularity import _tracker
 
 BIN = Alphabet("01")
@@ -159,3 +167,55 @@ def tracker_dfa(x, y, alphabet, rel):
     """
     rows, keys = _tracker(x, y, alphabet)
     return Dfa(alphabet, rows, 0, frozenset(i for i, k in enumerate(keys) if rel.holds(k % 3 - 1, 0)))
+
+
+def reference_certificate_problems(cert, x, y):
+    """The certificate self-check's problems, each claim recounted in its whole word.
+
+    The library's check searches each block and seam once; this counts x and y
+    afresh in all nine (uv)^i (pq)^j and in every (uv)^i u and (pq)^j p, so the
+    two must name the same problems in the same order.
+    """
+    problems = []
+    for name, dec, word, border in (("r", cert.dec_r, cert.r, y), ("s", cert.dec_s, cert.s, x)):
+        if not dec.u or dec.border() != border or dec.bordered_word() != word:
+            problems.append(f"dec_{name} does not decompose {name}")
+    uv = cert.dec_r.period_word()
+    pq = cert.dec_s.period_word()
+    if commutes(uv, pq):
+        problems.append("uv and pq commute")
+    e, f = cert.dec_r.e, cert.dec_s.e
+    for i in range(e + 1, e + 4):
+        if count_occurrences(uv * i + cert.dec_r.u, x):
+            problems.append(f"x occurs in (uv)^{i} u")
+    for j in range(f + 1, f + 4):
+        if count_occurrences(pq * j + cert.dec_s.u, y):
+            problems.append(f"y occurs in (pq)^{j} p")
+    for i in range(e + 1, e + 4):
+        for j in range(f + 1, f + 4):
+            z = uv * i + pq * j
+            if count_occurrences(z, x) != (j - f) * cert.d_prime + cert.c_prime - cert.d_prime + cert.m:
+                problems.append(f"x-count formula fails at i={i}, j={j}")
+            if count_occurrences(z, y) != (i - e) * cert.d + cert.c - cert.d + cert.n:
+                problems.append(f"y-count formula fails at i={i}, j={j}")
+    return problems
+
+
+def certificate_mutants(cert, x, y):
+    """Twenty certificates the self-check must reject, each one field or piece off.
+
+    r = y + x + y is y-bordered, first with the real decomposition and then with
+    its own, but it contains x; then every count and each e one up and one down;
+    then each decomposition with u and v swapped.
+    """
+    yxy = y + x + y
+    mutants = [cert._replace(r=yxy), cert._replace(r=yxy, dec_r=decompose_bordered(yxy, y))]
+    for delta in (-1, 1):
+        for field in ("m", "n", "c", "d", "c_prime", "d_prime"):
+            mutants.append(cert._replace(**{field: getattr(cert, field) + delta}))
+        mutants.append(cert._replace(dec_r=cert.dec_r._replace(e=cert.dec_r.e + delta)))
+        mutants.append(cert._replace(dec_s=cert.dec_s._replace(e=cert.dec_s.e + delta)))
+    for name in ("dec_r", "dec_s"):
+        u, v, e = getattr(cert, name)
+        mutants.append(cert._replace(**{name: BorderDecomposition(v, u, e)}))
+    return mutants

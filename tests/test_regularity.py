@@ -36,12 +36,14 @@ from occlang.regularity import _tracker
 from helpers import (
     BIN,
     TERN,
+    certificate_mutants,
     level_acceptance,
     level_mark_counts,
     level_scan_counts,
     level_states,
     naive_minimize,
     nonempty_words_upto,
+    reference_certificate_problems,
     scan_count,
     tracker_dfa,
 )
@@ -158,24 +160,97 @@ def test_certificate_golden_ternary():
     assert cert.s == "01201"
 
 
-@pytest.mark.parametrize("x, y, symbols", [("0011", "1100", "01"), ("01", "10", "012"), ("10100", "01001010", "01")])
+# For a pair, each dec_r for which x occurs in (uv)^(e+3) u but not in (uv)^(e+1) u,
+# with the powers i that the self-check's message must name
+_WRONG_POWERS = {
+    ("0000", "1"): ((BorderDecomposition("0", "", 0), [3]), (BorderDecomposition("0", "", 1), [3, 4])),
+}
+
+
+@pytest.mark.parametrize(
+    "x, y, symbols",
+    [
+        ("0011", "1100", "01"),
+        ("01", "10", "012"),
+        ("10100", "01001010", "01"),
+        # |uv| = 3 < |x| - 1 = 4 and m = 1: the x-count seam window of (uv)^1 holds
+        # all of uv, and (uv)^2 and (uv)^3 share a second one
+        ("01010", "001", "01"),
+        ("0000", "1", "01"),
+    ],
+)
 def test_certificate_self_check_rejects_mutations(x, y, symbols):
     cert = non_regularity_certificate(x, y, Alphabet(symbols))
     regularity._verify_certificate(cert, x, y)
-    # y + x + y is y-bordered and its own decomposition rebuilds it, but it contains x
-    yxy = y + x + y
-    mutants = [cert._replace(r=yxy), cert._replace(r=yxy, dec_r=decompose_bordered(yxy, y))]
-    for delta in (-1, 1):
-        for field in ("m", "n", "c", "d", "c_prime", "d_prime"):
-            mutants.append(cert._replace(**{field: getattr(cert, field) + delta}))
-        mutants.append(cert._replace(dec_r=cert.dec_r._replace(e=cert.dec_r.e + delta)))
-        mutants.append(cert._replace(dec_s=cert.dec_s._replace(e=cert.dec_s.e + delta)))
-    for name in ("dec_r", "dec_s"):
-        u, v, e = getattr(cert, name)
-        mutants.append(cert._replace(**{name: BorderDecomposition(v, u, e)}))
-    for mutant in mutants:
+    for mutant in certificate_mutants(cert, x, y):
         with pytest.raises(CertificateError):
             regularity._verify_certificate(mutant, x, y)
+    for dec_r, powers in _WRONG_POWERS.get((x, y), ()):
+        with pytest.raises(CertificateError) as exc:
+            regularity._verify_certificate(cert._replace(dec_r=dec_r), x, y)
+        named = [p for p in str(exc.value).split("; ") if p.startswith("x occurs")]
+        assert named == [f"x occurs in (uv)^{i} u" for i in powers]
+
+
+def _self_check_message(cert, x, y):
+    try:
+        regularity._verify_certificate(cert, x, y)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
+def test_certificate_self_check_matches_the_whole_word_reference():
+    """Same message as recounting every whole word, or a pass where that finds nothing.
+
+    The real certificates of all 4008 non-regular pairs of binary <= 5 and
+    ternary <= 3, and the 20 certificate_mutants of each of the 1788 among them
+    of binary <= 4 and ternary <= 3.
+    """
+    cases = []
+    for alphabet, length, mutate in ((BIN, 5, 4), (TERN, 3, 3)):
+        words = list(nonempty_words_upto(alphabet, length))
+        for x in words:
+            for y in words:
+                outcome = decide_regularity(x, y, alphabet)
+                if outcome.regular:
+                    continue
+                cases.append((outcome.certificate, x, y))
+                if max(len(x), len(y)) <= mutate:
+                    cases += [(cert, x, y) for cert in certificate_mutants(outcome.certificate, x, y)]
+    differ = []
+    for cert, x, y in cases:
+        problems = reference_certificate_problems(cert, x, y)
+        expected = "invalid certificate: " + "; ".join(problems) if problems else None
+        if _self_check_message(cert, x, y) != expected:
+            differ.append((x, y, cert))
+    assert len(cases) == 4008 + 20 * 1788
+    assert differ == []
+
+
+def test_certificate_self_check_searches_each_block_once(monkeypatch):
+    """Letters passed to count_occurrences by the self-check, per letter of x + y.
+
+    Recounting every whole word read 45-63 on such pairs; searching each block
+    and distinct seam window once reads at most 24.
+    """
+    rng = random.Random("certificate-self-check-letters")
+    pairs = []
+    for symbols in ("01", "012"):
+        found = 0
+        while found < 4:
+            x, y = ("".join(rng.choice(symbols) for _ in range(2000)) for _ in range(2))
+            outcome = decide_regularity(x, y, Alphabet(symbols))
+            if not outcome.regular:  # neither padding test holds
+                pairs.append((x, y, outcome.certificate))
+                found += 1
+    letters = []
+    count = regularity.count_occurrences
+    monkeypatch.setattr(regularity, "count_occurrences", lambda w, p: letters.append(len(w)) or count(w, p))
+    for x, y, cert in pairs:
+        letters.clear()
+        regularity._verify_certificate(cert, x, y)
+        assert sum(letters) <= 26 * (len(x) + len(y)), (sum(letters) / (len(x) + len(y)), cert.dec_r, cert.dec_s)
 
 
 def test_decide_regularity_checks_each_word_once_per_direction(monkeypatch):
