@@ -15,7 +15,6 @@ from occlang import (
     commutes,
     complement,
     decide_regularity,
-    decompose_bordered,
     is_interlaced_by,
     matcher_automaton,
     minimize,
