@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import operator
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 from .automata import (
@@ -74,14 +74,16 @@ class NonRegularityCertificate(NamedTuple):
 
     r is a y-bordered word avoiding x, s an x-bordered word avoiding y, both
     length-lexicographically smallest.  Their decompositions give
-    y = (uv)^e u, r = (uv)^{e+1} u and x = (pq)^f p, s = (pq)^{f+1} p.  The
-    counts satisfy, for all i > e and j > f,
+    y = (uv)^e u, r = (uv)^{e+1} u and x = (pq)^f p, s = (pq)^{f+1} p.  For
+    all i > e and j > f, x occurs in no (uv)^i u, y in no (pq)^j p, and
 
         |(uv)^i (pq)^j|_x = (j-f) d' + c' - d' + m
         |(uv)^i (pq)^j|_y = (i-e) d  + c  - d  + n
 
-    where m, n count the occurrences straddling the block boundary, and uv
-    and pq do not commute.
+    where m, n count the occurrences straddling the block boundary; uv and pq
+    do not commute.  decide_regularity checks all of it, for every such i and
+    j, before it returns a certificate: one search per avoidance claim and two
+    points per identity are proven to suffice.
     """
 
     r: Word
@@ -178,17 +180,24 @@ def _certificate(x: Word, y: Word, r: Word, s: Word) -> NonRegularityCertificate
 def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> None:
     """Raise CertificateError naming every check the certificate fails.
 
-    Of the claim for all i > e, j > f, only i in e+1..e+3 and j in f+1..f+3 are
-    checked: a sample, not a range proven sufficient.  Each distinct piece is searched once:
-    - Prefixes: (uv)^i u is a prefix of (uv)^(i+1) u, so x occurs in some (uv)^i u of
-      the sample iff it occurs in (uv)^(e+3) u; likewise y in (pq)^j p.
-    - Seams: an occurrence of p in L·R lies inside L, inside R, or starts in the last
-      |p|-1 letters of L and ends in the first |p|-1 of R, where no whole one fits.
-      For L = (uv)^i that window stays put once |L| >= |p|-1, as (uv)^(i+1) ends in (uv)^i.
+    It decides the claim for all i > e, j > f.  Let P = |uv|, Q = |pq|, k = |x|-1, and take
+    the decompositions as sound, since an unsound one is named.
+    - Each (uv)^i u is a prefix of the P-periodic (uv)^ω, where an x starts below P if at
+      all: x avoids all i > e iff it avoids the shortest with at least k + P letters.
+    - An x in (uv)^i (pq)^j lies in (uv)^i, which x avoids; in (pq)^j, whose count is affine
+      in j > f, as x = (pq)^f p starts at fixed residues mod Q, each gaining one start per
+      pq once jQ >= |x|; or in the seam window, the last k letters of (uv)^i and the first
+      k of (pq)^j, whose right half is whole from j = f+1.  No x there starts more than
+      (e+1)P letters back: it would hold (uv)^(e+1), so y, and so would s = (pq)^(f+1) p.
+      So the seam count is the same for all i > e, and the identity holds for all i > e,
+      j > f iff it holds at (e+1, f+1) and (e+1, f+2).
+    - Mirrored, y needs (e+1, f+1) and (e+2, f+1): a y ending more than (f+1)Q letters
+      into (pq)^j would hold x, and so would r.
+    Each block and window is searched once, but one that is a prefix of an avoidance word
+    found free of the pattern counts 0 unsearched.
     """
     problems = []
-    # With u nonempty, a rebuilt r = (uv)^(e+1) u = uv·y is y-bordered, and it is
-    # the i = e+1 word of the avoidance check below; likewise s for x and j = f+1.
+    # With u nonempty, r = (uv)^(e+1) u = uv·y is y-bordered and prefixes the x-avoidance word.
     for name, dec, word, border in (("r", cert.dec_r, cert.r, y), ("s", cert.dec_s, cert.s, x)):
         if not dec.u or dec.border() != border or dec.bordered_word() != word:
             problems.append(f"dec_{name} does not decompose {name}")
@@ -196,24 +205,25 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
     if commutes(uv, pq):
         problems.append("uv and pq commute")
     e, f = cert.dec_r.e, cert.dec_s.e
-    for p, block, tail, low, text in ((x, uv, cert.dec_r.u, e, "x occurs in (uv)^{} u"),
-                                       (y, pq, cert.dec_s.u, f, "y occurs in (pq)^{} p")):
-        if count_occurrences(block * (low + 3) + tail, p):
-            failing = [i for i in (low + 1, low + 2) if count_occurrences(block * i + tail, p)]
-            problems += [text.format(i) for i in failing + [low + 3]]
-    lefts, rights = [uv * i for i in range(e + 1, e + 4)], [pq * j for j in range(f + 1, f + 4)]
-    pairs = list(product(lefts, rights))
-    counts = []
-    for p in (x, y):
+    for name, p, block, tail, low, text, points, formula in (
+        ("x", x, uv, cert.dec_r.u, e, "x occurs in (uv)^{} u", ((e + 1, f + 1), (e + 1, f + 2)),
+         lambda i, j: (j - f) * cert.d_prime + cert.c_prime - cert.d_prime + cert.m),
+        ("y", y, pq, cert.dec_s.u, f, "y occurs in (pq)^{} p", ((e + 1, f + 1), (e + 2, f + 1)),
+         lambda i, j: (i - e) * cert.d + cert.c - cert.d + cert.n),
+    ):
         k = len(p) - 1
-        windows = [left[max(len(left) - k, 0) :] + right[:k] for left, right in pairs]
-        found = {w: count_occurrences(w, p) for w in dict.fromkeys(lefts + rights + windows)}
-        counts.append([found[left] + found[right] + found[w] for (left, right), w in zip(pairs, windows)])
-    for (i, j), nx, ny in zip(product(range(e + 1, e + 4), range(f + 1, f + 4)), *counts):
-        if nx != (j - f) * cert.d_prime + cert.c_prime - cert.d_prime + cert.m:
-            problems.append(f"x-count formula fails at i={i}, j={j}")
-        if ny != (i - e) * cert.d + cert.c - cert.d + cert.n:
-            problems.append(f"y-count formula fails at i={i}, j={j}")
+        # Up to the shortest avoidance word of k + |block| letters, or the empty word for an empty block.
+        powers = range(low + 1, max(low + 1, -((len(tail) - k - len(block)) // (len(block) or 1))) + 1)
+        clear = block * powers[-1] + tail
+        if count_occurrences(clear, p):  # p occurs from some power on: name the first
+            first = bisect_left(powers, 1, key=lambda i: count_occurrences(block * i + tail, p))
+            problems.append(text.format(powers[first]))
+            clear = ""
+        pieces = [(uv * i, pq * j) for i, j in points]
+        pieces = [(left, right, left[max(len(left) - k, 0) :] + right[:k]) for left, right in pieces]
+        found = {w: 0 if clear.startswith(w) else count_occurrences(w, p) for w in set().union(*pieces)}
+        problems += [f"{name}-count formula fails at i={i}, j={j}"
+                     for (i, j), trio in zip(points, pieces) if sum(map(found.get, trio)) != formula(i, j)]
     if problems:
         raise CertificateError("invalid certificate: " + "; ".join(problems))
 

@@ -172,9 +172,11 @@ def tracker_dfa(x, y, alphabet, rel):
 def reference_certificate_problems(cert, x, y):
     """The certificate self-check's problems, each claim recounted in its whole word.
 
-    The library's check searches each block and seam once; this counts x and y
-    afresh in all nine (uv)^i (pq)^j and in every (uv)^i u and (pq)^j p, so the
-    two must name the same problems in the same order.
+    The library's check counts blocks and seam windows once at the two points
+    per pattern that its proof needs; this counts x and y afresh in the whole
+    word (uv)^i (pq)^j at those same points, and walks (uv)^i u and (pq)^j p
+    one power at a time up to the check's bound, naming the first that holds
+    the pattern.  So the two must name the same problems in the same order.
     """
     problems = []
     for name, dec, word, border in (("r", cert.dec_r, cert.r, y), ("s", cert.dec_s, cert.s, x)):
@@ -185,19 +187,24 @@ def reference_certificate_problems(cert, x, y):
     if commutes(uv, pq):
         problems.append("uv and pq commute")
     e, f = cert.dec_r.e, cert.dec_s.e
-    for i in range(e + 1, e + 4):
-        if count_occurrences(uv * i + cert.dec_r.u, x):
-            problems.append(f"x occurs in (uv)^{i} u")
-    for j in range(f + 1, f + 4):
-        if count_occurrences(pq * j + cert.dec_s.u, y):
-            problems.append(f"y occurs in (pq)^{j} p")
-    for i in range(e + 1, e + 4):
-        for j in range(f + 1, f + 4):
-            z = uv * i + pq * j
-            if count_occurrences(z, x) != (j - f) * cert.d_prime + cert.c_prime - cert.d_prime + cert.m:
-                problems.append(f"x-count formula fails at i={i}, j={j}")
-            if count_occurrences(z, y) != (i - e) * cert.d + cert.c - cert.d + cert.n:
-                problems.append(f"y-count formula fails at i={i}, j={j}")
+    for name, p, block, tail, low, words, points, formula in (
+        ("x", x, uv, cert.dec_r.u, e, "(uv)^{} u", [(e + 1, f + 1), (e + 1, f + 2)],
+         lambda i, j: (j - f) * cert.d_prime + cert.c_prime - cert.d_prime + cert.m),
+        ("y", y, pq, cert.dec_s.u, f, "(pq)^{} p", [(e + 1, f + 1), (e + 2, f + 1)],
+         lambda i, j: (i - e) * cert.d + cert.c - cert.d + cert.n),
+    ):
+        # up to the shortest block^i tail, i > low, of at least |p| + |block| - 1 letters
+        i = low + 1
+        while True:
+            if count_occurrences(block * i + tail, p):
+                problems.append(f"{name} occurs in {words.format(i)}")
+                break
+            if not block or len(block * i + tail) >= len(p) + len(block) - 1:
+                break
+            i += 1
+        for i, j in points:
+            if count_occurrences(uv * i + pq * j, p) != formula(i, j):
+                problems.append(f"{name}-count formula fails at i={i}, j={j}")
     return problems
 
 

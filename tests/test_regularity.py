@@ -160,9 +160,9 @@ def test_certificate_golden_ternary():
 
 
 # For a pair, each dec_r for which x occurs in (uv)^(e+3) u but not in (uv)^(e+1) u,
-# with the powers i that the self-check's message must name
+# with the power i that the self-check's message must name: the least failing one
 _WRONG_POWERS = {
-    ("0000", "1"): ((BorderDecomposition("0", "", 0), [3]), (BorderDecomposition("0", "", 1), [3, 4])),
+    ("0000", "1"): ((BorderDecomposition("0", "", 0), [3]), (BorderDecomposition("0", "", 1), [3])),
 }
 
 
@@ -230,8 +230,10 @@ def test_certificate_self_check_matches_the_whole_word_reference():
 def test_certificate_self_check_searches_each_block_once(monkeypatch):
     """Letters passed to count_occurrences by the self-check, per letter of x + y.
 
-    Recounting every whole word read 45-63 on such pairs; searching each block
-    and distinct seam window once reads at most 24.
+    Recounting every whole word of a 3x3 sample read 45-63 on such pairs, and
+    searching each of its blocks and distinct seam windows once 18-24.  The
+    complete check searches one avoidance word per pattern and the blocks and
+    seam window of two points, skipping prefixes of a pattern-free word: 7-9.
     """
     rng = random.Random("certificate-self-check-letters")
     pairs = []
@@ -249,7 +251,65 @@ def test_certificate_self_check_searches_each_block_once(monkeypatch):
     for x, y, cert in pairs:
         letters.clear()
         regularity._verify_certificate(cert, x, y)
-        assert sum(letters) <= 26 * (len(x) + len(y)), (sum(letters) / (len(x) + len(y)), cert.dec_r, cert.dec_s)
+        assert sum(letters) <= 10 * (len(x) + len(y)), (sum(letters) / (len(x) + len(y)), cert.dec_r, cert.dec_s)
+
+
+def _claim_holds(cert, x, y):
+    """The certificate's whole claim by brute force, over a range past the check's points.
+
+    Sound decompositions and non-commuting uv, pq, then both avoidance claims
+    and both identities, each counted in its whole word, for every
+    i in e+1..e+|x|+6 and j in f+1..f+|y|+6.
+    """
+    for dec, word, border in ((cert.dec_r, cert.r, y), (cert.dec_s, cert.s, x)):
+        if not dec.u or dec.border() != border or dec.bordered_word() != word:
+            return False
+    uv, pq = cert.dec_r.period_word(), cert.dec_s.period_word()
+    if commutes(uv, pq):
+        return False
+    e, f = cert.dec_r.e, cert.dec_s.e
+    powers_i, powers_j = range(e + 1, e + len(x) + 7), range(f + 1, f + len(y) + 7)
+    if any(x in uv * i + cert.dec_r.u for i in powers_i) or any(y in pq * j + cert.dec_s.u for j in powers_j):
+        return False
+    return all(
+        scan_count(uv * i + pq * j, x) == (j - f) * cert.d_prime + cert.c_prime - cert.d_prime + cert.m
+        and scan_count(uv * i + pq * j, y) == (i - e) * cert.d + cert.c - cert.d + cert.n
+        for i in powers_i
+        for j in powers_j
+    )
+
+
+def test_certificate_self_check_decides_the_whole_claim(binary_grid):
+    """The check passes exactly the certificates whose claim holds well past its points.
+
+    The real certificates of the 1788 non-regular pairs of binary <= 4 and
+    ternary <= 3 and their 20 certificate_mutants each; the brute force counts
+    by position scan, at every i, j of its range, not at the check's points.
+    """
+    ternary = list(nonempty_words_upto(TERN, 3))
+    outcomes = [(x, y, o) for (x, y), o in binary_grid.items()]
+    outcomes += [(x, y, decide_regularity(x, y, TERN)) for x in ternary for y in ternary]
+    verdicts = Counter()
+    for x, y, outcome in outcomes:
+        if outcome.regular:
+            continue
+        for cert in [outcome.certificate] + certificate_mutants(outcome.certificate, x, y):
+            holds = _claim_holds(cert, x, y)
+            assert (_self_check_message(cert, x, y) is None) == holds, (x, y, cert)
+            verdicts[holds] += 1
+    assert verdicts == {True: 1788, False: 20 * 1788}
+
+
+def test_certificate_self_check_rejects_degenerate_decompositions():
+    """Empty period words and negative exponents are named, not divided by."""
+    cert = non_regularity_certificate("0011", "1100", BIN)
+    empty = BorderDecomposition("", "", 0)
+    for bad in (cert._replace(dec_r=empty), cert._replace(dec_s=empty),
+                cert._replace(dec_r=empty, dec_s=empty),
+                cert._replace(dec_r=cert.dec_r._replace(e=-1)), cert._replace(dec_r=cert.dec_r._replace(e=-2)),
+                cert._replace(dec_s=cert.dec_s._replace(e=-1)), cert._replace(dec_s=cert.dec_s._replace(e=-2))):
+        with pytest.raises(CertificateError, match="does not decompose"):
+            regularity._verify_certificate(bad, "0011", "1100")
 
 
 def test_decide_regularity_checks_each_word_once_per_direction(monkeypatch):
