@@ -14,7 +14,6 @@ from .words import (
     PowerCountParams,
     Word,
     border_lengths,
-    commutes,
     count_occurrences,
     decompose_bordered,
     is_bordered,
@@ -89,7 +88,6 @@ __all__ = [
     "bounded_equivalence",
     "build_comparison_dfa",
     "combine",
-    "commutes",
     "complement",
     "count_occurrences",
     "counter_membership",

@@ -110,9 +110,8 @@ def grafted_bordered_automaton(y: Word, alphabet: Alphabet) -> Dfa:
     """
     if not y:
         raise EmptyPatternError("border must be nonempty")
-    alphabet.require(y)
     m = len(y)
-    kmp = matcher_automaton(y, alphabet).transitions
+    kmp = matcher_automaton(y, alphabet).transitions  # checks y against the alphabet
     dead = m + 1
     base = m + 2  # suffix-tracker states occupy base .. base+m
     rows: list[tuple[int, ...]] = []

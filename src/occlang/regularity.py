@@ -34,7 +34,6 @@ from .words import (
     BorderDecomposition,
     PowerCountParams,
     Word,
-    commutes,
     count_occurrences,
     decompose_bordered,
     power_count_params,
@@ -80,10 +79,10 @@ class NonRegularityCertificate(NamedTuple):
         |(uv)^i (pq)^j|_x = (j-f) d' + c' - d' + m
         |(uv)^i (pq)^j|_y = (i-e) d  + c  - d  + n
 
-    where m, n count the occurrences straddling the block boundary; uv and pq
-    do not commute.  decide_regularity checks all of it, for every such i and
-    j, before it returns a certificate: one search per avoidance claim and two
-    points per identity are proven to suffice.
+    where m, n count the occurrences straddling the block boundary; it follows
+    that uv and pq do not commute.  decide_regularity checks all of it, for
+    every such i and j, before it returns a certificate: one search per
+    avoidance claim and two points per identity are proven to suffice.
     """
 
     r: Word
@@ -193,6 +192,9 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
       j > f iff it holds at (e+1, f+1) and (e+1, f+2).
     - Mirrored, y needs (e+1, f+1) and (e+2, f+1): a y ending more than (f+1)Q letters
       into (pq)^j would hold x, and so would r.
+    - Non-commutation of uv and pq needs no check of its own: if they commute, both are
+      powers of one word w, so x = (pq)^f p and the x-avoidance word, of at least |x|
+      letters, are prefixes of w^ω, and x occurs there.
     Each block and window is searched once, but one that is a prefix of an avoidance word
     found free of the pattern counts 0 unsearched.
     """
@@ -202,8 +204,6 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
         if not dec.u or dec.border() != border or dec.bordered_word() != word:
             problems.append(f"dec_{name} does not decompose {name}")
     uv, pq = cert.dec_r.period_word(), cert.dec_s.period_word()
-    if commutes(uv, pq):
-        problems.append("uv and pq commute")
     e, f = cert.dec_r.e, cert.dec_s.e
     for name, p, block, tail, low, text, points, formula in (
         ("x", x, uv, cert.dec_r.u, e, "x occurs in (uv)^{} u", ((e + 1, f + 1), (e + 1, f + 2)),

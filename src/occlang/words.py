@@ -25,7 +25,7 @@ Word = str
 class Alphabet:
     """Ordered set of distinct single-character symbols."""
 
-    __slots__ = ("symbols", "_index")
+    __slots__ = ("symbols", "_index", "_delete")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -38,6 +38,8 @@ class Alphabet:
             raise ValueError(f"alphabet symbols must be distinct, got {syms!r}")
         self.symbols = syms
         self._index = {s: i for i, s in enumerate(syms)}
+        # str.translate deletes the symbols in one C-level pass; what is left is foreign
+        self._delete = dict.fromkeys(map(ord, syms))
 
     def index(self, symbol: str) -> int:
         try:
@@ -50,7 +52,7 @@ class Alphabet:
 
         The error names the first foreign symbol in word order.
         """
-        if set(word).difference(self._index):
+        if word.translate(self._delete):
             ch = next(ch for ch in word if ch not in self._index)
             raise ForeignSymbolError(f"symbol {ch!r} of {word!r} is not in alphabet {self}")
 
@@ -158,8 +160,3 @@ def power_count_params(dec: BorderDecomposition, y: Word) -> PowerCountParams:
     c = count_occurrences(uv * (dec.e + 1), y)
     d = count_occurrences(uv * (dec.e + 2), y) - c
     return PowerCountParams(c=c, d=d)
-
-
-def commutes(x: Word, y: Word) -> bool:
-    """Whether xy = yx; for nonempty words this holds iff they share a primitive root."""
-    return x + y == y + x

@@ -14,7 +14,6 @@ from occlang import (
     Alphabet,
     BorderDecomposition,
     Dfa,
-    commutes,
     count_occurrences,
     decompose_bordered,
     matcher_automaton,
@@ -106,11 +105,6 @@ def containing(p, alphabet):
     return m._replace(transitions=m.transitions[:-1] + ((len(p),) * len(alphabet),))
 
 
-def primitive_root(w):
-    """The shortest r with w = r^k for some k, by trying every length."""
-    return next(w[:d] for d in range(1, len(w) + 1) if w[:d] * (len(w) // d) == w)
-
-
 def word_from_index(alphabet, length, index):
     """The word of the given length whose lexicographic rank is index."""
     k = len(alphabet)
@@ -184,8 +178,6 @@ def reference_certificate_problems(cert, x, y):
             problems.append(f"dec_{name} does not decompose {name}")
     uv = cert.dec_r.period_word()
     pq = cert.dec_s.period_word()
-    if commutes(uv, pq):
-        problems.append("uv and pq commute")
     e, f = cert.dec_r.e, cert.dec_s.e
     for name, p, block, tail, low, words, points, formula in (
         ("x", x, uv, cert.dec_r.u, e, "(uv)^{} u", [(e + 1, f + 1), (e + 1, f + 2)],

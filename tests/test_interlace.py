@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -292,8 +293,50 @@ def test_bordered_walk_examples():
     # the overlap 0^(n+1) comes first; over one symbol it alone decides
     assert interlaced("000", "00000", BIN).witness == "0000"
     assert interlaced("aaa", "aaaa", UNARY).witness is None
+    # p0 = 10, and the next period, 11 = |x| - p0 + 2, is the first that _overlaps' jump lets through
+    x = "1" * 9 + "0" + "1" * 9
+    assert _walk_matches_the_automaton(x, "0" + "1" * 9 + "0", BIN) == x[:11] + x
     with pytest.raises(EmptyPatternError):
         interlaced("", "0", BIN)
+
+
+def _fine_wilf_extremal(p, q):
+    """The binary word of p + q - 2 letters with the coprime periods p and q, starting with 0.
+
+    By Fine and Wilf, steps of p and q join its positions into exactly two classes.
+    """
+    n = p + q - 2
+    zeros, todo = {0}, [0]
+    while todo:
+        i = todo.pop()
+        for j in (i - p, i + p, i - q, i + q):
+            if 0 <= j < n and j not in zeros:
+                zeros.add(j)
+                todo.append(j)
+    return "".join("0" if i in zeros else "1" for i in range(n))
+
+
+def test_bordered_walk_matches_the_automaton_on_structured_families():
+    """Fine-Wilf extremal words, 0^a 1 0^a and its kin, and Fibonacci and Thue-Morse
+    prefixes: long borders, which the random and periodic pairs rarely have.
+
+    _overlaps' jump past the periods that p0 divides skips a candidate only when
+    p0 >= 10; below that the 7 periods tried one by one cover the jump's target.
+    """
+    words = [_fine_wilf_extremal(p, q) for q in range(3, 20) for p in range(2, min(q, 16)) if gcd(p, q) == 1]
+    for a in range(1, 12):
+        words += ["0" * a + "1" + "0" * a, "1" + "0" * a + "1", "0" * a + "1", "1" + "0" * a]
+    fibonacci, before = "01", "0"
+    while len(fibonacci) < 38:
+        fibonacci, before = fibonacci + before, fibonacci
+    thue_morse = "".join(str(bin(i).count("1") % 2) for i in range(38))
+    words += [w[:n] for w in (fibonacci, thue_morse) for n in range(2, 39, 3)]
+    words = list(dict.fromkeys(words))
+    smallest_periods = [next(p for p in range(1, len(w) + 1) if w.startswith(w[p:])) for w in words]
+    assert (len(words), sum(p0 >= 10 for p0 in smallest_periods)) == (152, 53)
+    for x in words:
+        for y in words:
+            _walk_matches_the_automaton(x, y, BIN)
 
 
 def _border_chain_overlaps(x):

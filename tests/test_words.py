@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from occlang import (
     border_lengths,
-    commutes,
     count_occurrences,
     decompose_bordered,
     is_bordered,
@@ -19,7 +18,7 @@ from occlang.errors import (
 )
 from occlang.words import Alphabet
 
-from helpers import BIN, nonempty_words_upto, primitive_root, scan_count, words_upto
+from helpers import BIN, nonempty_words_upto, scan_count, words_upto
 
 
 def test_count_occurrences_examples():
@@ -135,19 +134,6 @@ def test_power_count_linear_law():
             uv = dec.period_word()
             for i in range(dec.e + 1, dec.e + 6):
                 assert count_occurrences(uv * i, y) == (i - dec.e) * params.d + params.c - params.d
-
-
-def test_commutes_examples():
-    assert commutes("ab", "abab")
-    assert not commutes("ab", "ba")
-
-
-def test_commutes_iff_same_primitive_root():
-    roots = {w: primitive_root(w) for w in nonempty_words_upto(BIN, 6)}
-    ws = list(roots)
-    for x in ws:
-        for y in ws:
-            assert commutes(x, y) == (roots[x] == roots[y])
 
 
 def test_alphabet_basics():
