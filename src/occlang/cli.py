@@ -148,6 +148,9 @@ def _debruijn(args, alphabet):
 def _validate(args, alphabet):
     x, y = args.x, args.y
     max_len = args.max_len
+    # checked here, since only a regular pair reaches the oracle's own check
+    if max_len < 0:
+        raise ValueError(f"max_length must be nonnegative, got {max_len}")
     checks: list[dict] = []
 
     def check(name: str, passed: bool, detail: str) -> None:

@@ -2,12 +2,13 @@
 
 Everything here is deliberately direct and counts occurrences from their
 definition: an occurrence of p in z is a position i where z[i:] starts with
-p.  Membership scans every position, censuses enumerate every word, and the
-bounded DFA equivalence compares each word's last letters with the patterns.
-No automaton is built here: the oracle checks the DFAs the library builds
-from its pattern matchers, so it must not share them.  Bordered words are
-enumerated in closed form.  Budgets are explicit; exceeding one raises
-instead of truncating silently.
+p.  Membership scans every position.  Censuses and the bounded DFA
+equivalence share one walk over every word up to a length, which counts an
+occurrence wherever a word's last letters spell a pattern, and one budget of
+2^17 words.  No automaton is built here: the oracle checks the DFAs the
+library builds from its pattern matchers, so it must not share them.
+Bordered words are enumerated in closed form.  Budgets are explicit;
+exceeding one raises instead of truncating silently.
 """
 
 from __future__ import annotations
@@ -54,104 +55,108 @@ def counter_membership(z: Word, x: Word, y: Word, rel: Relation) -> bool:
     return _COMPARE[rel.value](cx, cy)
 
 
-def _default_budget(alphabet: Alphabet) -> int:
-    return 16 if len(alphabet) <= 2 else 10
+# Words one census or equivalence sweep may visit: every word up to length
+# 16 over two symbols, 10 over three, 8 over four, 131071 over one.
+_WORD_BUDGET = 1 << 17
 
 
-def _walk_counts(patterns: Sequence[Word], alphabet: Alphabet, max_length: int) -> Iterator:
+def _walk(patterns: Sequence[Word], alphabet: Alphabet, max_length: int, what: str) -> Iterator:
     """Every word of length <= max_length with its per-pattern occurrence counts.
 
-    Depth-first over the prefix tree in symbol order.  A child counts what its
-    parent counts, plus one for each pattern it ends with: the occurrences
-    ending at its last letter.  An explicit stack, with children pushed in
-    reverse symbol order, keeps the call depth constant whatever max_length is.
+    Checks its arguments and the word budget when called, before it yields
+    anything; what names the walk in its error messages.  Then yields
+    (length, path, counts) depth first in symbol order, so the words of one
+    length come in lexicographic order.  path is one list of the word's
+    symbol indices, changed by the next step; the word itself is never built,
+    since over one symbol that would cost quadratic time.  A child counts what
+    its parent counts, plus one for each pattern its path ends with: the
+    occurrences ending at its last letter.  The walk keeps no call stack.
     """
-    stack = [("", (0,) * len(patterns))]
-    while stack:
-        word, counts = stack.pop()
-        yield word, counts
-        if len(word) < max_length:
-            for a in reversed(alphabet.symbols):
-                child = word + a
-                ends = (child.endswith(p) for p in patterns)
-                stack.append((child, tuple(c + e for c, e in zip(counts, ends))))
-
-
-def _census(
-    patterns: Sequence[Word],
-    alphabet: Alphabet,
-    max_length: int,
-    member,
-    budget: int | None,
-    member_limit: int,
-) -> CensusReport:
     if any(not p for p in patterns):
-        raise EmptyPatternError("census patterns must be nonempty")
+        raise EmptyPatternError(f"{what} needs nonempty patterns")
     for p in patterns:
         alphabet.require(p)
     if max_length < 0:
         raise ValueError(f"max_length must be nonnegative, got {max_length}")
-    cap = budget if budget is not None else _default_budget(alphabet)
-    if max_length > cap:
-        raise BudgetExceededError(
-            f"census to length {max_length} exceeds the budget of {cap}"
-        )
+    k = len(alphabet)
+    words, level = 0, 1
+    for _ in range(max_length + 1):
+        words += level
+        if words > _WORD_BUDGET:
+            raise BudgetExceededError(
+                f"{what} to length {max_length} over {k} symbols "
+                f"exceeds the budget of {_WORD_BUDGET} words"
+            )
+        level *= k
+    # per symbol, the patterns ending with it: (position, length, symbol indices)
+    ending: list[list] = [[] for _ in range(k)]
+    for i, p in enumerate(patterns):
+        ending[alphabet.index(p[-1])].append((i, len(p), [alphabet.index(c) for c in p]))
+
+    def depth_first():
+        path: list[int] = []
+        counts = [(0,) * len(patterns)] * (max_length + 1)  # of each prefix of path
+        yield 0, path, counts[0]
+        while True:
+            # the next word: path extended by the first symbol, or else path
+            # without its trailing last symbols and with the final one stepped
+            if len(path) < max_length:
+                path.append(0)
+            else:
+                while path and path[-1] == k - 1:
+                    path.pop()
+                if not path:
+                    return
+                path[-1] += 1
+            length = len(path)
+            occ = counts[length - 1]
+            for i, n, p in ending[path[-1]]:
+                if path[-n:] == p:
+                    occ = occ[:i] + (occ[i] + 1,) + occ[i + 1 :]
+            counts[length] = occ
+            yield length, path, occ
+
+    return depth_first()
+
+
+def _census(
+    patterns: Sequence[Word], alphabet: Alphabet, max_length: int, member, member_limit: int
+) -> CensusReport:
+    walk = _walk(patterns, alphabet, max_length, "census")
     counts = [0] * (max_length + 1)
     buckets: list[list[Word]] = [[] for _ in range(max_length + 1)]
     total = 0
-    for word, occ in _walk_counts(patterns, alphabet, max_length):
+    for length, path, occ in walk:
         if member(occ):
-            counts[len(word)] += 1
+            counts[length] += 1
             total += 1
-            if total <= member_limit:
-                buckets[len(word)].append(word)
+            if total <= member_limit:  # only a kept member is spelled out
+                buckets[length].append("".join([alphabet.symbols[i] for i in path]))
     members = tuple(w for bucket in buckets for w in bucket) if total <= member_limit else None
     return CensusReport(max_length, tuple(counts), members)
 
 
 def bounded_census(
-    x: Word,
-    y: Word,
-    alphabet: Alphabet,
-    rel: Relation,
-    max_length: int,
-    budget: int | None = None,
-    member_limit: int = 512,
+    x: Word, y: Word, alphabet: Alphabet, rel: Relation, max_length: int, member_limit: int = 512
 ) -> CensusReport:
     """Census of { z : |z|_x rel |z|_y } over all words of length <= max_length.
 
     Words are visited in length-lexicographic order; the explicit member list
-    is included only while it stays within member_limit.
+    is included only while it stays within member_limit.  Raises
+    BudgetExceededError, before visiting any, when there are more than 2^17
+    such words.
     """
     holds = _COMPARE[rel.value]
-    return _census(
-        [x, y], alphabet, max_length, lambda occ: holds(occ[0], occ[1]), budget, member_limit
-    )
+    return _census([x, y], alphabet, max_length, lambda occ: holds(*occ), member_limit)
 
 
 def bounded_equal_census(
-    patterns: Sequence[Word],
-    alphabet: Alphabet,
-    max_length: int,
-    budget: int | None = None,
-    member_limit: int = 512,
+    patterns: Sequence[Word], alphabet: Alphabet, max_length: int, member_limit: int = 512
 ) -> CensusReport:
-    """Census of the words in which all given patterns occur equally often."""
+    """Census of the words in which all given patterns occur equally often, on the same budget."""
     if not patterns:
         raise ValueError("at least one pattern is required")
-    return _census(
-        patterns,
-        alphabet,
-        max_length,
-        lambda occ: len(set(occ)) == 1,
-        budget,
-        member_limit,
-    )
-
-
-# Words a bounded_equivalence sweep may visit: every word up to length 16
-# over two symbols, 10 over three, 131071 over one.
-_SWEEP_BUDGET = 1 << 17
+    return _census(patterns, alphabet, max_length, lambda occ: len(set(occ)) == 1, member_limit)
 
 
 def bounded_equivalence(a: Dfa, x: Word, y: Word, rel: Relation, max_length: int) -> Word | None:
@@ -161,56 +166,18 @@ def bounded_equivalence(a: Dfa, x: Word, y: Word, rel: Relation, max_length: int
     to max_length.  Raises EmptyPatternError for an empty pattern and, before
     sweeping, BudgetExceededError when there are more than 2^17 such words.
     """
-    if not x or not y:
-        raise EmptyPatternError("bounded equivalence needs nonempty patterns")
-    if max_length < 0:
-        raise ValueError(f"max_length must be nonnegative, got {max_length}")
-    alphabet = a.alphabet
-    alphabet.require(x)
-    alphabet.require(y)
-    k = len(alphabet)
-    words, level = 0, 1
-    for _ in range(max_length + 1):
-        words += level
-        if words > _SWEEP_BUDGET:
-            raise BudgetExceededError(
-                f"equivalence sweep to length {max_length} over {k} symbols "
-                f"exceeds the budget of {_SWEEP_BUDGET} words"
-            )
-        level *= k
-    accepting, holds = a.accepting, _COMPARE[rel.value]
-    if (a.start in accepting) != holds(0, 0):
-        return ""
-    ta = a.transitions
-    xs = [alphabet.index(c) for c in x]
-    ys = [alphabet.index(c) for c in y]
-    nx, ny, x_end, y_end = len(x), len(y), xs[-1], ys[-1]
-    # Depth-first with an explicit stack, children pushed in reverse symbol
-    # order, so the words of one length are met in lexicographic order.  An
-    # entry is (length, last symbol, DFA state and x/y counts before that
-    # symbol); path holds the symbol indices of the current word, which gains
-    # an occurrence of x when path ends with x's indices.  The word itself is
-    # never built: over one symbol that would cost quadratic time.  A mismatch
-    # hides only words extending it, all length-lexicographically later.
-    path: list[int] = []
+    walk = _walk([x, y], a.alphabet, max_length, "equivalence sweep")
+    accepting, holds, ta = a.accepting, _COMPARE[rel.value], a.transitions
+    # the DFA state after each prefix of the current path
+    states = [a.start] * (max_length + 1)
     best: list[int] | None = None
-    stack = [(1, si, a.start, 0, 0) for si in reversed(range(k))] if max_length else []
-    while stack:
-        length, si, sa, cx, cy = stack.pop()
-        path[length - 1 :] = [si]
-        sa = ta[sa][si]
-        if si == x_end and path[-nx:] == xs:
-            cx += 1
-        if si == y_end and path[-ny:] == ys:
-            cy += 1
-        if (sa in accepting) != holds(cx, cy):
-            if best is None or length < len(best):
-                best = path.copy()
-        elif length < max_length:
-            stack.extend((length + 1, sj, sa, cx, cy) for sj in reversed(range(k)))
-    if best is None:
-        return None
-    return "".join(alphabet.symbols[i] for i in best)
+    for length, path, (cx, cy) in walk:
+        if length:
+            states[length] = ta[states[length - 1]][path[-1]]
+        # the first mismatch of each length is its lexicographically smallest
+        if (states[length] in accepting) != holds(cx, cy) and (best is None or length < len(best)):
+            best = path.copy()
+    return None if best is None else "".join(a.alphabet.symbols[i] for i in best)
 
 
 # Letters, summed over its words, that an enumerate_bordered call may build:

@@ -202,6 +202,7 @@ def test_validate_checks_certificates_against_the_automaton(capsys, x, y, symbol
     [
         (("regular", "0", "0", "--alphabet", "00"), "distinct"),
         (("validate", "01", "10", "--alphabet", "01", "--max-len", "-1"), "nonnegative"),
+        (("validate", "0011", "1100", "--alphabet", "01", "--max-len", "-1"), "nonnegative"),
     ],
 )
 def test_value_errors_are_json_in_json_mode(capsys, argv, message):

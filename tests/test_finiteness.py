@@ -49,7 +49,7 @@ def test_unary_membership_matches_the_count_formula():
     # a^n holds n-j+1 occurrences of a^j once n >= j
     x, y = "aa", "aaa"
     bound = max(len(x), len(y)) + 5
-    report = bounded_census(x, y, UNARY, Relation.EQ, bound, budget=bound)
+    report = bounded_census(x, y, UNARY, Relation.EQ, bound)
     expected = {
         "a" * n
         for n in range(bound + 1)

@@ -1,3 +1,4 @@
+import ast
 import json
 import sys
 import tracemalloc
@@ -19,10 +20,29 @@ from occlang import (
     grafted_bordered_automaton,
     is_bordered,
 )
-from occlang import automata, cli, regularity
+from occlang import automata, cli, oracle, regularity
 from occlang.errors import BudgetExceededError, EmptyPatternError
 
 from helpers import BIN, TERN, UNARY, nonempty_words_upto, scan_count, words_upto
+
+
+def test_oracle_imports_nothing_it_checks():
+    """Of the library, the oracle takes only the records it reads and its errors."""
+    with open(oracle.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    taken: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            taken.setdefault(node.module, set()).update(a.name for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            assert not any(m.split(".")[0] == "occlang" for m in modules), modules
+    assert taken == {
+        "automata": {"Dfa"},
+        "errors": {"BudgetExceededError", "EmptyPatternError"},
+        "regularity": {"Relation"},
+        "words": {"Alphabet", "Word", "border_lengths"},
+    }
 
 
 def test_counter_membership_examples():
@@ -65,21 +85,17 @@ def test_bounded_census_counts_everything_for_equal_patterns():
 def test_bounded_census_budget():
     with pytest.raises(BudgetExceededError):
         bounded_census("01", "10", BIN, Relation.EQ, 17)
-    # explicit budgets override the default
-    bounded_census("0", "1", BIN, Relation.EQ, 3, budget=3)
-    with pytest.raises(BudgetExceededError):
-        bounded_equal_census(["0", "1"], BIN, 4, budget=3)
 
 
 def test_census_has_no_recursion_depth_limit():
     # one word per length over one symbol: a recursive walk would need 5000 frames
-    report = bounded_census("a", "aa", UNARY, Relation.EQ, 5000, budget=5000)
+    report = bounded_census("a", "aa", UNARY, Relation.EQ, 5000)
     assert report.per_length_counts == (1,) + (0,) * 5000
     assert report.members == ("",)
     # |a^n|_a = n > n - 1 = |a^n|_aa for every n >= 1
-    greater = bounded_census("a", "aa", UNARY, Relation.GT, 5000, budget=5000, member_limit=0)
+    greater = bounded_census("a", "aa", UNARY, Relation.GT, 5000, member_limit=0)
     assert greater.per_length_counts == (0,) + (1,) * 5000
-    equal = bounded_equal_census(["a", "aa"], UNARY, 5000, budget=5000)
+    equal = bounded_equal_census(["a", "aa"], UNARY, 5000)
     assert equal.per_length_counts == (1,) + (0,) * 5000 and equal.members == ("",)
 
 
@@ -87,7 +103,7 @@ def test_census_keeps_no_members_past_the_limit():
     def peak(rel):
         tracemalloc.start()
         try:
-            report = bounded_census("a", "aa", UNARY, rel, 5000, budget=5000, member_limit=0)
+            report = bounded_census("a", "aa", UNARY, rel, 5000, member_limit=0)
             return report, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -182,6 +198,25 @@ def test_bounded_equivalence_returns_first_mismatch_in_length_lex_order():
     assert first == brute
 
 
+def test_bounded_equivalence_matches_a_search_of_every_word():
+    """Each DFA checked against other pairs' counts, so mismatches share lengths above 0."""
+    pairs = [("01", "10"), ("0", "101"), ("00", "000"), ("01", "010")]
+    dfas = [build_comparison_dfa(x, y, BIN, rel) for x, y in pairs for rel in (Relation.EQ, Relation.LT)]
+    words = list(words_upto(BIN, 6))
+    found = set()
+    for dfa in dfas:
+        for x, y in pairs:
+            for rel in Relation:
+                want = next(
+                    (z for z in words if dfa.accepts(z) != rel.holds(scan_count(z, x), scan_count(z, y))),
+                    None,
+                )
+                assert bounded_equivalence(dfa, x, y, rel, 6) == want, (dfa, x, y, rel)
+                found.add(want)
+    # first mismatches that come after agreeing words of their own length
+    assert {"01", "10", "101"} <= found
+
+
 def test_bounded_equivalence_has_no_recursion_depth_limit():
     # one word per length over one symbol: a recursive sweep would need 5000 frames
     dfa = build_comparison_dfa("a", "aa", UNARY, Relation.EQ)
@@ -210,6 +245,26 @@ def test_bounded_equivalence_budget():
         bounded_equivalence(everything, "a", "a", Relation.EQ, 2**17)
     with pytest.raises(ValueError):
         bounded_equivalence(figure, "01", "10", Relation.EQ, -1)
+
+
+# Per alphabet, the longest length whose words, all lengths up to it, number at most 2^17.
+_WORD_LIMITS = [(UNARY, 2**17 - 1), (BIN, 16), (TERN, 10), (Alphabet("0123"), 8)]
+
+
+@pytest.mark.parametrize("alphabet, limit", _WORD_LIMITS, ids=["1", "2", "3", "4"])
+def test_censuses_and_sweeps_share_one_word_budget(alphabet, limit):
+    k, p = len(alphabet), alphabet.symbols[0]
+    levels = tuple(k**n for n in range(limit + 1))
+    assert sum(levels) <= 2**17 < sum(levels) + k ** (limit + 1)
+    # with x = y every word is counted, and the DFA accepts every word
+    census = bounded_census(p, p, alphabet, Relation.EQ, limit, member_limit=0)
+    assert census.per_length_counts == levels
+    everything = build_comparison_dfa(p, p, alphabet, Relation.EQ)
+    assert bounded_equivalence(everything, p, p, Relation.EQ, limit) is None
+    with pytest.raises(BudgetExceededError, match="census"):
+        bounded_census(p, p, alphabet, Relation.EQ, limit + 1)
+    with pytest.raises(BudgetExceededError, match="equivalence sweep"):
+        bounded_equivalence(everything, p, p, Relation.EQ, limit + 1)
 
 
 def test_bounded_equivalence_rejects_empty_patterns():

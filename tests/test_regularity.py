@@ -487,6 +487,51 @@ def test_three_class_trackers_keep_their_size():
                 assert build_comparison_dfa(x, y, BIN, Relation.EQ).state_count == 3 * k + 2, (x, y)
 
 
+def _prefixes(x, y):
+    """The number of distinct prefixes of x and y, the empty one included."""
+    return len({w[:i] for w in (x, y) for i in range(len(w) + 1)})
+
+
+def test_tracker_size_is_bounded_by_the_prefixes():
+    """The tracker's matcher pairs number at most P, the distinct prefixes of x and y,
+    so with three differences and the sink it has at most 3P + 1 states."""
+    regular = 0
+    for alphabet, length in ((BIN, 5), (TERN, 3)):
+        words = list(nonempty_words_upto(alphabet, length))
+        for x in words:
+            for y in words:
+                certificate, _, rows, keys, _, _ = regularity._synthesis(x, y, alphabet)
+                if certificate is not None:
+                    continue
+                regular += 1
+                p = _prefixes(x, y)
+                assert len(rows) <= 3 * p + 1, (x, y, alphabet)
+                assert len({key // 3 for key in keys if key != -3}) <= p, (x, y, alphabet)
+    assert regular > 0
+
+
+def _fibonacci(n):
+    """The first n letters of the Fibonacci word 0100101001001..."""
+    word, before = "01", "0"
+    while len(word) < n:
+        word, before = word + before, word
+    return word[:n]
+
+
+@pytest.mark.parametrize(
+    "x, y, states",
+    [
+        (_fibonacci(2000), _fibonacci(1999), 2002),
+        ("01" * 1000 + "0", "01" * 1000, 2003),
+        ("0" * 1000 + "1" + "0" * 1000, "0" * 500 + "1", 2004),
+        ("0" * 2000 + "1", "1" + "0" * 2000, 6006),
+    ],
+    ids=["fibonacci", "alternating", "one-in-zeros", "zeros-one"],
+)
+def test_structured_family_tracker_sizes(x, y, states):
+    assert len(regularity._synthesis(x, y, BIN)[2]) == states
+
+
 def test_trackers_are_near_minimal():
     """The tracker has at most 1.25 times the states of the largest minimal DFA of its pair."""
     rng = random.Random(4)
