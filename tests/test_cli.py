@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occlang import Alphabet, is_interlaced_by
+from occlang import Alphabet, Direction, decide_regularity, is_interlaced_by, regularity
 from occlang.cli import build_parser, main
 
 
@@ -25,6 +25,12 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     return code, json.loads(out), err
+
+
+def _env_with_src():
+    """The environment for a fresh interpreter that imports occlang from this tree."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 SUBCOMMANDS = ("count", "interlaced", "regular", "dfa", "witness", "finite", "debruijn", "validate")
@@ -194,7 +200,88 @@ def test_validate_over_budget_is_a_domain_error(capsys):
 def test_validate_checks_certificates_against_the_automaton(capsys, x, y, symbols):
     code, doc, _ = run_json(capsys, "validate", x, y, "--alphabet", symbols, "--max-len", "4")
     assert code == 0 and doc["pass"] is True
-    assert [c["pass"] for c in doc["checks"] if c["name"] == "certificate-vs-automaton"] == [True]
+    assert [c["pass"] for c in doc["checks"] if c["name"] == "decision-vs-automaton"] == [True]
+
+
+@pytest.fixture
+def replace_decision(monkeypatch):
+    """Makes regularity.decide_regularity, where the CLI and the synthesis look it up, return
+    change(outcome); the synthesis cached from a changed decision is dropped afterwards."""
+    decide = regularity.decide_regularity
+
+    def replace(change):
+        monkeypatch.setattr(regularity, "decide_regularity", lambda x, y, a: change(decide(x, y, a)))
+
+    yield replace
+    regularity._synthesis.cache_clear()
+
+
+def _failed_checks(capsys, *argv):
+    code, doc, _ = run_json(capsys, "validate", *argv, "--max-len", "6")
+    assert code == 0
+    return doc["pass"], [c["name"] for c in doc["checks"] if not c["pass"]]
+
+
+@pytest.mark.parametrize(
+    "x, y, last",
+    [("000100", "1000", ["dfa-oracle-eq", "dfa-oracle-lt", "dfa-oracle-le"]), ("0011", "1100", ["witness-bounds"])],
+)
+def test_validate_names_the_checks_it_runs(capsys, x, y, last):
+    _, doc, _ = run_json(capsys, "validate", x, y, "--alphabet", "01", "--max-len", "6")
+    first = [f"fast-vs-general-{x}-{y}", f"fast-vs-general-{y}-{x}", "decision-vs-automaton"]
+    assert [c["name"] for c in doc["checks"]] == first + last
+
+
+def test_validate_catches_a_wrong_direction(capsys, replace_decision):
+    # only x is interlaced by y; the tracker's DFAs are right in that orientation all the same
+    assert decide_regularity("000100", "1000", Alphabet("01")).direction is Direction.X_INTERLACED_BY_Y
+    replace_decision(lambda outcome: outcome._replace(direction=Direction.BOTH))
+    assert _failed_checks(capsys, "000100", "1000", "--alphabet", "01") == (False, ["decision-vs-automaton"])
+
+
+def test_validate_catches_swapped_certificate_witnesses(capsys, replace_decision):
+    def swap(outcome):
+        cert = outcome.certificate
+        return outcome._replace(certificate=cert._replace(r=cert.s, s=cert.r))
+
+    replace_decision(swap)
+    passed, failed = _failed_checks(capsys, "0011", "1100", "--alphabet", "01")
+    assert not passed and "decision-vs-automaton" in failed
+
+
+def test_validate_builds_one_certificate(capsys, monkeypatch):
+    built = []
+    certificate = regularity._certificate
+    monkeypatch.setattr(regularity, "_certificate", lambda *words: built.append(words) or certificate(*words))
+    assert _failed_checks(capsys, "0011", "1100", "--alphabet", "01") == (True, [])
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "0011", "1100", "--alphabet", "01", "--max-len", "5", "--json"],
+        ["regular", "0011", "1100", "--alphabet", "01", "--json"],
+        ["dfa", "01", "10", "--alphabet", "01"],
+        ["count", "banana", "ana"],
+    ],
+)
+def test_closed_stdout_exits_one_without_a_traceback(argv, unbuffered):
+    env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "occlang.cli", *argv], env=env, stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == 1, run.stderr
+    assert "BrokenPipeError" not in run.stderr and "Traceback" not in run.stderr
 
 
 @pytest.mark.parametrize(
@@ -334,8 +421,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         "import occlang.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = _env_with_src()
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -367,7 +453,7 @@ DIGEST_PAIRS = (
 )
 RELATIONS = ("eq", "ne", "lt", "le", "gt", "ge")
 # Identical on Python 3.10 to 3.13.
-CLI_DIGEST = "1d109b2bf9bd715f42e6224d48db362289f9a0c175593188b44e905162ff1d6a"
+CLI_DIGEST = "1a4fc11f86816e87606f6ff2f8bdb49bb3ed8d10060e4be8499231e6e68f5f11"
 
 
 def digest_argvs():

@@ -25,7 +25,7 @@ from occlang.errors import (
     NotInClassAError,
 )
 
-from helpers import BIN, TERN, UNARY, nonempty_words_upto, words_upto
+from helpers import BIN, TERN, UNARY, nonempty_words_upto, reference_certificate_problems, words_upto
 
 
 def _is_bordered(z, y):
@@ -318,25 +318,45 @@ def _fine_wilf_extremal(p, q):
 
 def test_bordered_walk_matches_the_automaton_on_structured_families():
     """Fine-Wilf extremal words, 0^a 1 0^a and its kin, and Fibonacci and Thue-Morse
-    prefixes: long borders, which the random and periodic pairs rarely have.
+    prefixes: long borders, which the random and periodic pairs rarely have.  The
+    same families at up to 201 letters are crossed too, and for each non-regular
+    pair among those the certificate is recounted in its whole words.
 
     _overlaps' jump past the periods that p0 divides skips a candidate only when
     p0 >= 10; below that the 7 periods tried one by one cover the jump's target.
     """
+
+    def smallest_period(w):
+        return next(p for p in range(1, len(w) + 1) if w.startswith(w[p:]))
+
     words = [_fine_wilf_extremal(p, q) for q in range(3, 20) for p in range(2, min(q, 16)) if gcd(p, q) == 1]
     for a in range(1, 12):
         words += ["0" * a + "1" + "0" * a, "1" + "0" * a + "1", "0" * a + "1", "1" + "0" * a]
     fibonacci, before = "01", "0"
-    while len(fibonacci) < 38:
+    while len(fibonacci) < 199:
         fibonacci, before = fibonacci + before, fibonacci
-    thue_morse = "".join(str(bin(i).count("1") % 2) for i in range(38))
+    thue_morse = "".join(str(bin(i).count("1") % 2) for i in range(199))
     words += [w[:n] for w in (fibonacci, thue_morse) for n in range(2, 39, 3)]
     words = list(dict.fromkeys(words))
-    smallest_periods = [next(p for p in range(1, len(w) + 1) if w.startswith(w[p:])) for w in words]
-    assert (len(words), sum(p0 >= 10 for p0 in smallest_periods)) == (152, 53)
+    assert (len(words), sum(smallest_period(w) >= 10 for w in words)) == (152, 53)
     for x in words:
         for y in words:
             _walk_matches_the_automaton(x, y, BIN)
+
+    long_words = [_fine_wilf_extremal(34, 55), _fine_wilf_extremal(55, 89), "01" * 50 + "0", "01" * 80, "001" * 40]
+    for a in (40, 70, 100):
+        long_words += ["0" * a + "1" + "0" * a, "1" + "0" * a + "1", "0" * a + "1", "1" + "0" * a]
+    long_words += [w[:n] for w in (fibonacci, thue_morse) for n in (80, 130, 199)]
+    long_words = list(dict.fromkeys(long_words))
+    assert (len(long_words), sum(smallest_period(w) >= 10 for w in long_words)) == (23, 20)
+    assert max(map(len, long_words)) == 201
+    witness = {(x, y): _walk_matches_the_automaton(x, y, BIN) for x in long_words for y in long_words}
+    nonregular = [(x, y) for x, y in witness if witness[x, y] is not None and witness[y, x] is not None]
+    assert len(nonregular) == 394
+    for x, y in nonregular:
+        cert = decide_regularity(x, y, BIN).certificate
+        assert (cert.r, cert.s) == (witness[y, x], witness[x, y])
+        assert reference_certificate_problems(cert, x, y) == [], (x, y)
 
 
 def _border_chain_overlaps(x):
