@@ -169,55 +169,51 @@ def complement(a: Dfa) -> Dfa:
 def minimize(a: Dfa) -> Dfa:
     """Unique minimal complete DFA for L(a), states numbered by BFS in symbol order.
 
-    Hopcroft partition refinement over the n reachable states and k symbols on
-    a refinable partition kept in flat lists: elems lists the states, with
+    Hopcroft partition refinement over all n states and k symbols on a
+    refinable partition kept in flat lists: elems lists the states, with
     block b in elems[first[b]:past[b]]; loc and block give each state's index
     in elems and its block; marked[b] counts the states of b that the current
-    splitter has swapped to the front of b.  The worklist holds codes
-    b·k + si, each the splitter (block b, symbol si), which marks the states
-    entering b on si.  A block with marked and unmarked states splits, and its
-    smaller part becomes the new block; the first split is that of the one
-    block of all reachable states, the accepting ones marked.  Queueing the
-    new block alone suffices: a pending parent stays pending for the larger
-    part, and a partition stable for the parent and for one part is stable for
-    the other.  The new block is queued only for the symbols on which one of
-    its states has a predecessor.  On any other symbol its preimage is empty,
-    so it would split nothing, and the larger part's preimage is the parent's,
-    so the larger part keeps the parent's stability.  Only the smaller part is
+    splitter has swapped to the front of b.  preds[si][t] lists the states
+    entering t on symbol si, and a worklist pair (b, preds[si]) is the
+    splitter (block b, symbol si), which marks the states entering b on si.
+    A block with marked and unmarked states splits, and its smaller part
+    becomes the new block; the first split is that of the one block of all
+    states, the accepting ones marked.  Queueing the new block alone
+    suffices: a pending parent stays pending for the larger part, and a
+    partition stable for the parent and for one part is stable for the other.
+    The new block is queued only for the symbols on which one of its states
+    has a predecessor.  On any other symbol its preimage is empty, so it would
+    split nothing, and the larger part's preimage is the parent's, so the
+    larger part keeps the parent's stability.  Only the smaller part is
     scanned and queued, so each state lies in O(log n) processed splitters per
-    symbol and refinement takes O(k·n log n).
+    symbol and refinement takes O(k·n log n).  Refining unreachable states
+    too is exact: equivalent states, reachable or not, agree on acceptance
+    and on their successors' blocks, so a block's row is read from its first
+    state and the renumbering from the start's block visits exactly the
+    blocks of reachable states.
     """
     k = len(a.alphabet)
+    n = a.state_count
     trans = a.transitions
     accepting = a.accepting
-    block = [-1] * a.state_count
-    block[a.start] = 0
-    reach = [a.start]
-    for s in reach:
-        for t in trans[s]:
-            if block[t] < 0:
-                block[t] = 0
-                reach.append(t)
-    elems = [s for s in reach if s in accepting]
+    elems = sorted(accepting)
     m = len(elems)
-    n = len(reach)
-    elems += [s for s in reach if s not in accepting]
-    loc = [0] * a.state_count
+    elems += [s for s in range(n) if s not in accepting]
+    loc = [0] * n
     for i, s in enumerate(elems):
         loc[s] = i
-    # preds[t * k + si]: the reachable states entering t on symbol si
-    preds: list[list[int] | None] = [None] * (a.state_count * k)
-    for s in reach:
-        for si, t in enumerate(trans[s]):
-            key = t * k + si
-            lst = preds[key]
+    block = [0] * n
+    preds: list[list[list[int] | None]] = [[None] * n for _ in range(k)]
+    for ps, column in zip(preds, zip(*trans)):
+        for s, t in enumerate(column):
+            lst = ps[t]
             if lst is None:
-                preds[key] = [s]
+                ps[t] = [s]
             else:
                 lst.append(s)
     first, past, marked = [0], [n], [m]
     touched = [0]
-    work: list[int] = []
+    work: list[tuple[int, list[list[int] | None]]] = []
     while True:
         for c in touched:
             mc = marked[c]
@@ -239,21 +235,20 @@ def minimize(a: Dfa) -> Dfa:
             new = elems[lo:hi]
             for s in new:
                 block[s] = nb
-            code = nb * k
-            for si in range(k):
+            for ps in preds:
                 for s in new:
-                    if preds[s * k + si] is not None:
-                        work.append(code + si)
+                    if ps[s] is not None:
+                        work.append((nb, ps))
                         break
         if not work:
             break
-        b, si = divmod(work.pop(), k)
+        b, ps = work.pop()
         touched = []
         for t in elems[first[b] : past[b]]:
-            ps = preds[t * k + si]
-            if ps is None:
+            lst = ps[t]
+            if lst is None:
                 continue
-            for s in ps:
+            for s in lst:
                 c = block[s]
                 mc = marked[c]
                 if not mc:

@@ -4,11 +4,12 @@
 function here takes its arguments in that one orientation.  The reference
 method intersects the x-bordered-word recognizer with a y-avoider and checks
 emptiness; its shortest accepted word is the canonical witness.  The decision,
-interlaced, builds no automaton: by the paper's corollaries, if any
-x-bordered word avoids y then some x·t·x does with |t| = 3 (|t| = 1 over
-three or more symbols), so walking the x-bordered words of at most 2|x| + 3
-letters, shortest first, decides the question and finds the canonical
-witness at once.
+interlaced, builds no automaton.  If y is a factor of x it holds at once,
+since every x-bordered word contains x.  Otherwise, by the paper's
+corollaries, if any x-bordered word avoids y then some x·t·x does with
+|t| = 3 (|t| = 1 over three or more symbols), so walking the x-bordered
+words of at most 2|x| + 3 letters, shortest first, decides the question and
+finds the canonical witness at once.
 """
 
 from __future__ import annotations
@@ -160,17 +161,19 @@ def _padded(x: Word, symbols: tuple[str, ...], pad: int) -> Iterator[Word]:
 def interlaced(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
     """Decide whether x is interlaced by y, with the canonical witness if not.
 
-    Equals is_interlaced_by without building an automaton.  Let pad be 3
-    over two symbols and 1 otherwise.  The x-bordered words of at most
-    2|x| + pad letters are, shortest first, the overlaps x[:p] + x for each
-    period p of x and then x·t·x for |t| = 0, ..., pad in symbol order.  The
-    walk tries them in that order, skipping only the overlaps that _overlaps
-    proves cannot come first, and its first word avoiding y is the witness.
-    If none avoids y, x is interlaced by y: over two or more symbols, by the
-    paper's corollaries, if any x-bordered word avoids y then some x·t·x with
-    |t| = pad does (over two symbols no shorter length works for every pair);
-    over one symbol every x-bordered word contains the shortest one,
-    a^(|x|+1), which the walk tries first.
+    Equals is_interlaced_by without building an automaton.  If y is a factor
+    of x, x is interlaced by y with no walk: an x-bordered word contains x,
+    hence y.  Otherwise let pad be 3 over two symbols and 1 otherwise.  The
+    x-bordered words of at most 2|x| + pad letters are, shortest first, the
+    overlaps x[:p] + x for each period p of x and then x·t·x for
+    |t| = 0, ..., pad in symbol order.  The walk tries them in that order,
+    skipping only the overlaps that _overlaps proves cannot come first, and
+    its first word avoiding y is the witness.  If none avoids y, x is
+    interlaced by y: over two or more symbols, by the paper's corollaries, if
+    any x-bordered word avoids y then some x·t·x with |t| = pad does (over
+    two symbols no shorter length works for every pair); over one symbol
+    every x-bordered word contains the shortest one, a^(|x|+1), which the
+    walk tries first.
     """
     if not x or not y:
         raise EmptyPatternError("interlacing needs nonempty words")
@@ -181,6 +184,8 @@ def interlaced(x: Word, y: Word, alphabet: Alphabet) -> InterlaceVerdict:
         pad, tag = 3, Method.LENGTH_THREE
     else:
         pad, tag = 1, Method.SINGLE_LETTER
+    if y in x:
+        return InterlaceVerdict(holds=True, witness=None, method=tag)
     candidates = chain(_overlaps(x), _padded(x, symbols, pad))
     witness = next((z for z in candidates if y not in z), None)
     return InterlaceVerdict(holds=witness is None, witness=witness, method=tag)

@@ -280,6 +280,10 @@ def test_minimize_ignores_unreachable_states():
         assert minimize(only_reachable) == Dfa(a.alphabet, ((0,) * k,), 0, frozenset({0}))
         only_unreachable = Dfa(a.alphabet, padded.transitions, a.start, unreachable)
         assert minimize(only_unreachable) == Dfa(a.alphabet, ((0,) * k,), 0, frozenset())
+        # an unreachable exact copy numbered first, so a block's first state may be unreachable
+        rows = a.transitions + tuple(tuple(n + t for t in row) for row in a.transitions)
+        copied = Dfa(a.alphabet, rows, n + a.start, a.accepting | {n + s for s in a.accepting})
+        assert minimize(copied) == minimize(a)
 
 
 def test_minimize_single_block():

@@ -419,6 +419,36 @@ def test_walk_tries_one_overlap_of_a_unary_pattern(monkeypatch):
             assert tried == [zero * (n + 1)], (n, alphabet)
 
 
+def test_a_factor_of_x_holds_with_no_candidate(monkeypatch):
+    """Fact 1: if y is a factor of x, every x-bordered word contains x, hence y,
+    so interlaced answers before it builds any candidate."""
+    tried = []
+
+    def counted(generator):
+        def wrapped(*args):
+            for z in generator(*args):
+                tried.append(z)
+                yield z
+
+        return wrapped
+
+    monkeypatch.setattr(interlace, "_overlaps", counted(interlace._overlaps))
+    monkeypatch.setattr(interlace, "_padded", counted(interlace._padded))
+    pairs = []
+    for n in (40, 80, 160):  # the family pairs of the dfa-regular benchmark pool
+        pairs += [("0" * n, "0" * (n - 1), BIN), ("0" * n + "1", "01", BIN), ("0" * n, "0" * (n // 2), TERN)]
+    rng = random.Random("dfa-regular/1")  # its four factor pairs, drawn as for seed 1
+    for symbols in ("01", "01", "012", "012"):
+        w = "".join(rng.choice(symbols) for _ in range(140))
+        start = rng.randrange(126)
+        pairs.append((w, w[start : start + 14], Alphabet(symbols)))
+    pairs.append(("0" * 3999 + "1", "0" * 3998 + "1", BIN))
+    for x, y, alphabet in pairs:
+        method = Method.LENGTH_THREE if len(alphabet.symbols) == 2 else Method.SINGLE_LETTER
+        assert interlaced(x, y, alphabet) == (True, None, method)
+    assert tried == []
+
+
 def test_no_decision_path_builds_an_automaton(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("an automaton was built on a decision path")

@@ -54,7 +54,7 @@ def test_counter_membership_examples():
 
 
 def test_counter_membership_matches_direct_counts():
-    pairs = [("01", "10"), ("0011", "1100"), ("0", "11")]
+    pairs = [("01", "10"), ("0011", "1100"), ("0", "11"), ("00", "11")]
     for x, y in pairs:
         for rel in Relation:
             for z in words_upto(BIN, 10):
