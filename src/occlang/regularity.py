@@ -34,6 +34,7 @@ from .words import (
     BorderDecomposition,
     PowerCountParams,
     Word,
+    _nested_count,
     count_occurrences,
     decompose_bordered,
     power_count_params,
@@ -195,8 +196,10 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
     - Non-commutation of uv and pq needs no check of its own: if they commute, both are
       powers of one word w, so x = (pq)^f p and the x-avoidance word, of at least |x|
       letters, are prefixes of w^ω, and x occurs there.
-    Each block and window is searched once, but one that is a prefix of an avoidance word
-    found free of the pattern counts 0 unsearched.
+    At the two points of an identity one block is fixed and the other is a power and the
+    next, the shorter a prefix of the longer: one scan of the longer counts both.  Each
+    distinct seam window is searched once.  A block or window that is a prefix of an
+    avoidance word found free of the pattern counts 0 unsearched.
     """
     problems = []
     # With u nonempty, r = (uv)^(e+1) u = uv·y is y-bordered and prefixes the x-avoidance word.
@@ -220,10 +223,15 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
             problems.append(text.format(powers[first]))
             clear = ""
         pieces = [(uv * i, pq * j) for i, j in points]
-        pieces = [(left, right, left[max(len(left) - k, 0) :] + right[:k]) for left, right in pieces]
-        found = {w: 0 if clear.startswith(w) else count_occurrences(w, p) for w in set().union(*pieces)}
-        problems += [f"{name}-count formula fails at i={i}, j={j}"
-                     for (i, j), trio in zip(points, pieces) if sum(map(found.get, trio)) != formula(i, j)]
+        sides = [(0, 0) if clear.startswith(long) else _nested_count(long, p, len(short))
+                 for short, long in zip(pieces[0], pieces[-1])]
+        windows = [left[max(len(left) - k, 0) :] + right[:k] for left, right in pieces]
+        seams = []
+        for w in windows:
+            seams.append(seams[0] if seams and w == windows[0]
+                         else 0 if clear.startswith(w) else count_occurrences(w, p))
+        problems += [f"{name}-count formula fails at i={i}, j={j}" for t, (i, j) in enumerate(points)
+                     if sides[0][t] + sides[1][t] + seams[t] != formula(i, j)]
     if problems:
         raise CertificateError("invalid certificate: " + "; ".join(problems))
 

@@ -80,15 +80,40 @@ class Alphabet:
 
 
 def count_occurrences(w: Word, p: Word) -> int:
-    """Number of possibly overlapping occurrences of p in w."""
+    """Number of possibly overlapping occurrences of p in w.
+
+    After a start i the scan resumes at i + s, where s is the first position
+    >= 1 of p[:16] in p if |p| > 16 and there is one, else max(|p| - 15, 1).
+    No start is skipped: two starts less than |p| apart are a period q of p
+    apart; if q <= |p| - 16, p[:16] occurs at q, so s <= q, else q >= |p| - 15 >= s.
+    """
     if not p:
         raise EmptyPatternError("occurrence counting needs a nonempty pattern")
-    n = 0
+    return len(_starts(w, p))
+
+
+def _starts(w: Word, p: Word) -> list[int]:
+    """The start positions of p in w, ascending, by the scan of count_occurrences.
+
+    The step s is found only once there is a first start.
+    """
     i = w.find(p)
+    if i == -1:
+        return []
+    s = p.find(p[:16], 1) if len(p) > 16 else -1
+    if s < 1:
+        s = max(len(p) - 15, 1)
+    starts = []
     while i != -1:
-        n += 1
-        i = w.find(p, i + 1)
-    return n
+        starts.append(i)
+        i = w.find(p, i + s)
+    return starts
+
+
+def _nested_count(w: Word, p: Word, cut: int) -> tuple[int, int]:
+    """Occurrences of p in w[:cut] and in w, from one scan of w."""
+    starts = _starts(w, p)
+    return sum(i <= cut - len(p) for i in starts), len(starts)
 
 
 def border_lengths(w: Word) -> list[int]:
@@ -151,12 +176,14 @@ def decompose_bordered(z: Word, y: Word) -> BorderDecomposition:
 
 
 def power_count_params(dec: BorderDecomposition, y: Word) -> PowerCountParams:
-    """Count the border y inside (uv)^{e+1} and (uv)^{e+2} of the decomposition."""
+    """Count the border y inside (uv)^{e+1} and (uv)^{e+2} of the decomposition.
+
+    The first is a prefix of the second, so one scan of (uv)^{e+2} gives both.
+    """
     if dec.border() != y:
         raise InconsistentDecompositionError(
             f"(u, v, e) = ({dec.u!r}, {dec.v!r}, {dec.e}) does not reconstruct {y!r}"
         )
     uv = dec.period_word()
-    c = count_occurrences(uv * (dec.e + 1), y)
-    d = count_occurrences(uv * (dec.e + 2), y) - c
-    return PowerCountParams(c=c, d=d)
+    c, both = _nested_count(uv * (dec.e + 2), y, len(uv) * (dec.e + 1))
+    return PowerCountParams(c=c, d=both - c)

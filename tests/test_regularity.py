@@ -28,7 +28,7 @@ from occlang.errors import (
     ForeignSymbolError,
     NotRegularError,
 )
-from occlang import regularity
+from occlang import regularity, words
 from occlang.regularity import _tracker
 
 from helpers import (
@@ -226,14 +226,8 @@ def test_certificate_self_check_matches_the_whole_word_reference():
     assert differ == []
 
 
-def test_certificate_self_check_searches_each_block_once(monkeypatch):
-    """Letters passed to count_occurrences by the self-check, per letter of x + y.
-
-    Recounting every whole word of a 3x3 sample read 45-63 on such pairs, and
-    searching each of its blocks and distinct seam windows once 18-24.  The
-    complete check searches one avoidance word per pattern and the blocks and
-    seam window of two points, skipping prefixes of a pattern-free word: 7-9.
-    """
+def _certificate_pairs():
+    """Four non-regular pairs of random 2000-letter words over each of {0,1} and {0,1,2}."""
     rng = random.Random("certificate-self-check-letters")
     pairs = []
     for symbols in ("01", "012"):
@@ -244,13 +238,47 @@ def test_certificate_self_check_searches_each_block_once(monkeypatch):
             if not outcome.regular:  # neither padding test holds
                 pairs.append((x, y, outcome.certificate))
                 found += 1
+    return pairs
+
+
+def _count_letters(monkeypatch):
+    """The list of the lengths of the words searched from now on: every occurrence scan runs words._starts."""
     letters = []
-    count = regularity.count_occurrences
-    monkeypatch.setattr(regularity, "count_occurrences", lambda w, p: letters.append(len(w)) or count(w, p))
+    scan = words._starts
+    monkeypatch.setattr(words, "_starts", lambda w, p: letters.append(len(w)) or scan(w, p))
+    return letters
+
+
+def test_certificate_self_check_searches_each_block_once(monkeypatch):
+    """Letters searched by the self-check, per letter of x + y.
+
+    Recounting every whole word of a 3x3 sample read 45-63 on such pairs, and
+    searching each of its blocks and distinct seam windows once 18-24.  The
+    complete check searches one avoidance word per pattern and the blocks and
+    seam window of two points, skipping prefixes of a pattern-free word: 7-9,
+    and 6-7 with one scan for the two powers of a nested pair of blocks.
+    """
+    pairs = _certificate_pairs()
+    letters = _count_letters(monkeypatch)
     for x, y, cert in pairs:
         letters.clear()
         regularity._verify_certificate(cert, x, y)
-        assert sum(letters) <= 10 * (len(x) + len(y)), (sum(letters) / (len(x) + len(y)), cert.dec_r, cert.dec_s)
+        assert sum(letters) <= 7 * (len(x) + len(y)), (sum(letters) / (len(x) + len(y)), cert.dec_r, cert.dec_s)
+
+
+def test_certificate_builder_searches_each_block_once(monkeypatch):
+    """Letters searched by the certificate builder, without its check, per letter of x + y.
+
+    It scans (uv)^(e+2) for y and (pq)^(f+2) for x, each once for both of its
+    powers, and the two seam windows for m and n.
+    """
+    pairs = _certificate_pairs()
+    letters = _count_letters(monkeypatch)
+    monkeypatch.setattr(regularity, "_verify_certificate", lambda cert, x, y: None)
+    for x, y, cert in pairs:
+        letters.clear()
+        assert regularity._certificate(x, y, cert.r, cert.s) == cert
+        assert sum(letters) <= 5 * (len(x) + len(y)), (sum(letters) / (len(x) + len(y)), cert.dec_r, cert.dec_s)
 
 
 def _claim_holds(cert, x, y):

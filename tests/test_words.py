@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from occlang.errors import (
     InconsistentDecompositionError,
     NotBorderedError,
 )
+from occlang import words
 from occlang.words import Alphabet
 
 from helpers import BIN, nonempty_words_upto, scan_count, words_upto
@@ -42,6 +45,27 @@ def test_count_occurrences_matches_position_scan_exhaustively():
 @given(st.text(alphabet="ab", max_size=30), st.text(alphabet="ab", min_size=1, max_size=5))
 def test_count_occurrences_matches_position_scan_random(w, p):
     assert count_occurrences(w, p) == scan_count(w, p)
+
+
+def test_count_occurrences_resumes_a_period_past_each_start():
+    """Long periodic patterns, where the scan resumes more than one letter past a start.
+
+    Patterns are cut from roots of 1-25 letters to 1-60 letters, so patterns of
+    15-17 letters and smallest periods near |p| - 16 all occur; haystacks are
+    copies and cuts of the pattern.  The nested count is checked with an
+    occurrence ending exactly at the cut and with one ending a letter past it.
+    """
+    rng = random.Random("count-occurrences-resume")
+    for _ in range(3000):
+        root = "".join(rng.choice("01") for _ in range(rng.randint(1, 25)))
+        p = (root * 60)[: rng.randint(1, 60)]
+        pieces = (p, p, p[rng.randint(1, len(p)) :], p[: rng.randint(0, len(p))], root, "0", "1")
+        w = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 8)))
+        assert count_occurrences(w, p) == scan_count(w, p), (w, p)
+        i = w.find(p)
+        if i != -1:
+            for cut in (i + len(p), i + len(p) - 1):
+                assert words._nested_count(w, p, cut) == (scan_count(w[:cut], p), scan_count(w, p)), (w, p, cut)
 
 
 def test_border_lengths_examples():

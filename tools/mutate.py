@@ -39,11 +39,13 @@ class Mutant(NamedTuple):
 
 INTERLACE, AUTOMATA = "src/occlang/interlace.py", "src/occlang/automata.py"
 REGULARITY, ORACLE = "src/occlang/regularity.py", "src/occlang/oracle.py"
+WORDS = "src/occlang/words.py"
 WALK = ("tests/test_interlace.py::test_bordered_walk_examples",
         "tests/test_interlace.py::test_bordered_walk_matches_the_automaton_on_periodic_pairs")
 MINIMIZE = ("tests/test_automata.py::test_minimize_matches_a_naive_reference",)
 TRACKER = ("tests/test_regularity.py::test_tracker_state_counts",
            "tests/test_regularity.py::test_folded_tracker_agrees_with_the_counts")
+SCAN = ("tests/test_words.py::test_count_occurrences_resumes_a_period_past_each_start",)
 CERTIFICATE = ("tests/test_regularity.py::test_certificate_self_check_rejects_mutations",
                "tests/test_regularity.py::test_certificate_self_check_decides_the_whole_claim")
 
@@ -75,6 +77,12 @@ MUTANTS = (
            "((e + 1, f + 1), (e + 1, f + 2))", "((e + 1, f + 1),)", CERTIFICATE),
     Mutant("y identity checked at one point", REGULARITY,
            "((e + 1, f + 1), (e + 2, f + 1))", "((e + 1, f + 1),)", CERTIFICATE),
+    Mutant("scan resumes one letter too far", WORDS,
+           "i = w.find(p, i + s)", "i = w.find(p, i + s + 1)", SCAN),
+    Mutant("nested count cut one letter short", WORDS,
+           "i <= cut - len(p)", "i < cut - len(p)", SCAN),
+    Mutant("power count d not net of c", WORDS, "d=both - c", "d=both",
+           ("tests/test_words.py::test_power_count_params_examples",)),
     Mutant("oracle counts non-overlapping occurrences", ORACLE,
            "cx = sum(z.startswith(x, i) for i in range(len(z) - len(x) + 1))", "cx = z.count(x)",
            ("tests/test_oracle.py::test_counter_membership_examples",
