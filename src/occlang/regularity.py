@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from bisect import bisect_left
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,7 +33,8 @@ from .words import (
     BorderDecomposition,
     PowerCountParams,
     Word,
-    _nested_count,
+    _power_count,
+    _residues,
     count_occurrences,
     decompose_bordered,
     power_count_params,
@@ -182,8 +182,9 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
 
     It decides the claim for all i > e, j > f.  Let P = |uv|, Q = |pq|, k = |x|-1, and take
     the decompositions as sound, since an unsound one is named.
-    - Each (uv)^i u is a prefix of the P-periodic (uv)^ω, where an x starts below P if at
-      all: x avoids all i > e iff it avoids the shortest with at least k + P letters.
+    - Each (uv)^i u is the prefix of iP + |u| letters of the P-periodic (uv)^ω, where x
+      starts at r + tP for each of its residues r < P and t >= 0: so x occurs in some
+      (uv)^i u iff it has a residue, first in the least i > e with iP + |u| >= min r + |x|.
     - An x in (uv)^i (pq)^j lies in (uv)^i, which x avoids; in (pq)^j, whose count is affine
       in j > f, as x = (pq)^f p starts at fixed residues mod Q, each gaining one start per
       pq once jQ >= |x|; or in the seam window, the last k letters of (uv)^i and the first
@@ -196,10 +197,10 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
     - Non-commutation of uv and pq needs no check of its own: if they commute, both are
       powers of one word w, so x = (pq)^f p and the x-avoidance word, of at least |x|
       letters, are prefixes of w^ω, and x occurs there.
-    At the two points of an identity one block is fixed and the other is a power and the
-    next, the shorter a prefix of the longer: one scan of the longer counts both.  Each
-    distinct seam window is searched once.  A block or window that is a prefix of an
-    avoidance word found free of the pattern counts 0 unsearched.
+    A point's count adds the counts in its two blocks, prefixes of (uv)^ω and (pq)^ω read
+    off the pattern's residues in uv and in pq, to the seam count, for which the window of
+    (e+1, f+1) serves both points, as its varying half is whole there.  So each pattern
+    takes one search per block and one of the window.
     """
     problems = []
     # With u nonempty, r = (uv)^(e+1) u = uv·y is y-bordered and prefixes the x-avoidance word.
@@ -208,30 +209,22 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
             problems.append(f"dec_{name} does not decompose {name}")
     uv, pq = cert.dec_r.period_word(), cert.dec_s.period_word()
     e, f = cert.dec_r.e, cert.dec_s.e
-    for name, p, block, tail, low, text, points, formula in (
-        ("x", x, uv, cert.dec_r.u, e, "x occurs in (uv)^{} u", ((e + 1, f + 1), (e + 1, f + 2)),
+    left, right = uv * (e + 1), pq * (f + 1)
+    for name, p, side, tail, low, text, points, formula in (
+        ("x", x, 0, cert.dec_r.u, e, "x occurs in (uv)^{} u", ((e + 1, f + 1), (e + 1, f + 2)),
          lambda i, j: (j - f) * cert.d_prime + cert.c_prime - cert.d_prime + cert.m),
-        ("y", y, pq, cert.dec_s.u, f, "y occurs in (pq)^{} p", ((e + 1, f + 1), (e + 2, f + 1)),
+        ("y", y, 1, cert.dec_s.u, f, "y occurs in (pq)^{} p", ((e + 1, f + 1), (e + 2, f + 1)),
          lambda i, j: (i - e) * cert.d + cert.c - cert.d + cert.n),
     ):
+        held = _residues(uv, p), _residues(pq, p)
+        block, avoid = (uv, pq)[side], held[side]
+        if avoid:  # p occurs from the least power i > low with i|block| + |tail| >= min r + |p|
+            problems.append(text.format(max(low + 1, -((len(tail) - min(avoid) - len(p)) // len(block)))))
         k = len(p) - 1
-        # Up to the shortest avoidance word of k + |block| letters, or the empty word for an empty block.
-        powers = range(low + 1, max(low + 1, -((len(tail) - k - len(block)) // (len(block) or 1))) + 1)
-        clear = block * powers[-1] + tail
-        if count_occurrences(clear, p):  # p occurs from some power on: name the first
-            first = bisect_left(powers, 1, key=lambda i: count_occurrences(block * i + tail, p))
-            problems.append(text.format(powers[first]))
-            clear = ""
-        pieces = [(uv * i, pq * j) for i, j in points]
-        sides = [(0, 0) if clear.startswith(long) else _nested_count(long, p, len(short))
-                 for short, long in zip(pieces[0], pieces[-1])]
-        windows = [left[max(len(left) - k, 0) :] + right[:k] for left, right in pieces]
-        seams = []
-        for w in windows:
-            seams.append(seams[0] if seams and w == windows[0]
-                         else 0 if clear.startswith(w) else count_occurrences(w, p))
-        problems += [f"{name}-count formula fails at i={i}, j={j}" for t, (i, j) in enumerate(points)
-                     if sides[0][t] + sides[1][t] + seams[t] != formula(i, j)]
+        seam = count_occurrences(left[max(len(left) - k, 0) :] + right[:k], p)
+        problems += [f"{name}-count formula fails at i={i}, j={j}" for i, j in points
+                     if _power_count(held[0], len(uv), len(p), i * len(uv)) + seam
+                     + _power_count(held[1], len(pq), len(p), j * len(pq)) != formula(i, j)]
     if problems:
         raise CertificateError("invalid certificate: " + "; ".join(problems))
 

@@ -80,40 +80,41 @@ class Alphabet:
 
 
 def count_occurrences(w: Word, p: Word) -> int:
-    """Number of possibly overlapping occurrences of p in w.
-
-    After a start i the scan resumes at i + s, where s is the first position
-    >= 1 of p[:16] in p if |p| > 16 and there is one, else max(|p| - 15, 1).
-    No start is skipped: two starts less than |p| apart are a period q of p
-    apart; if q <= |p| - 16, p[:16] occurs at q, so s <= q, else q >= |p| - 15 >= s.
-    """
+    """Number of possibly overlapping occurrences of p in w."""
     if not p:
         raise EmptyPatternError("occurrence counting needs a nonempty pattern")
     return len(_starts(w, p))
 
 
 def _starts(w: Word, p: Word) -> list[int]:
-    """The start positions of p in w, ascending, by the scan of count_occurrences.
-
-    The step s is found only once there is a first start.
-    """
-    i = w.find(p)
-    if i == -1:
-        return []
-    s = p.find(p[:16], 1) if len(p) > 16 else -1
-    if s < 1:
-        s = max(len(p) - 15, 1)
+    """The start positions of p in w, ascending: each search resumes one letter past a start."""
     starts = []
+    i = w.find(p)
     while i != -1:
         starts.append(i)
-        i = w.find(p, i + s)
+        i = w.find(p, i + 1)
     return starts
 
 
-def _nested_count(w: Word, p: Word, cut: int) -> tuple[int, int]:
-    """Occurrences of p in w[:cut] and in w, from one scan of w."""
-    starts = _starts(w, p)
-    return sum(i <= cut - len(p) for i in starts), len(starts)
+def _residues(block: Word, p: Word) -> list[int]:
+    """The residues of p in block: its starts below |block| in block^ω, the block repeated.
+
+    A start below |block| ends within the first |block| - 1 + |p| letters, so one
+    search of them finds all.  An empty block has none.
+    """
+    if not block:
+        return []
+    n = len(block) - 1 + len(p)
+    return _starts((block * (n // len(block) + 1))[:n], p)
+
+
+def _power_count(residues: list[int], period: int, plen: int, length: int) -> int:
+    """Occurrences of a pattern of plen letters in the first length letters of block^ω.
+
+    Given its residues in a block of period letters, its starts there are
+    r + t·period for each residue r and each t >= 0 with r + t·period + plen <= length.
+    """
+    return sum(max((length - plen - r) // period + 1, 0) for r in residues)
 
 
 def border_lengths(w: Word) -> list[int]:
@@ -178,12 +179,16 @@ def decompose_bordered(z: Word, y: Word) -> BorderDecomposition:
 def power_count_params(dec: BorderDecomposition, y: Word) -> PowerCountParams:
     """Count the border y inside (uv)^{e+1} and (uv)^{e+2} of the decomposition.
 
-    The first is a prefix of the second, so one scan of (uv)^{e+2} gives both.
+    Both are prefixes of (uv)^ω, where y starts at r + t|uv| for its residues
+    r < |uv| and t >= 0, so c is counted from the residues.  The starts gained from
+    one to the other end in ((e+1)|uv|, (e+2)|uv|], which the ends r + |y| + t|uv| of
+    each residue meet exactly once, as r + |y| < (e+2)|uv| by |y| = e|uv| + |u|: so d
+    is the number of residues.
     """
-    if dec.border() != y:
+    if dec.e < 0 or dec.border() != y:
         raise InconsistentDecompositionError(
             f"(u, v, e) = ({dec.u!r}, {dec.v!r}, {dec.e}) does not reconstruct {y!r}"
         )
     uv = dec.period_word()
-    c, both = _nested_count(uv * (dec.e + 2), y, len(uv) * (dec.e + 1))
-    return PowerCountParams(c=c, d=both - c)
+    held = _residues(uv, y)
+    return PowerCountParams(c=_power_count(held, len(uv), len(y), len(uv) * (dec.e + 1)), d=len(held))

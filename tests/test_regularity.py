@@ -254,23 +254,23 @@ def test_certificate_self_check_searches_each_block_once(monkeypatch):
 
     Recounting every whole word of a 3x3 sample read 45-63 on such pairs, and
     searching each of its blocks and distinct seam windows once 18-24.  The
-    complete check searches one avoidance word per pattern and the blocks and
-    seam window of two points, skipping prefixes of a pattern-free word: 7-9,
-    and 6-7 with one scan for the two powers of a nested pair of blocks.
+    complete check read 7-9 with nested scans of its blocks; it now searches,
+    per pattern, the residue window of each block, |block| - 1 + |pattern|
+    letters, and one seam window: 6.
     """
     pairs = _certificate_pairs()
     letters = _count_letters(monkeypatch)
     for x, y, cert in pairs:
         letters.clear()
         regularity._verify_certificate(cert, x, y)
-        assert sum(letters) <= 7 * (len(x) + len(y)), (sum(letters) / (len(x) + len(y)), cert.dec_r, cert.dec_s)
+        assert sum(letters) <= 6 * (len(x) + len(y)), (sum(letters) / (len(x) + len(y)), cert.dec_r, cert.dec_s)
 
 
 def test_certificate_builder_searches_each_block_once(monkeypatch):
     """Letters searched by the certificate builder, without its check, per letter of x + y.
 
-    It scans (uv)^(e+2) for y and (pq)^(f+2) for x, each once for both of its
-    powers, and the two seam windows for m and n.
+    It searches the residue windows of y in uv and of x in pq, of |uv| - 1 + |y|
+    and |pq| - 1 + |x| letters, and the two seam windows for m and n: 4.
     """
     pairs = _certificate_pairs()
     letters = _count_letters(monkeypatch)
@@ -278,7 +278,7 @@ def test_certificate_builder_searches_each_block_once(monkeypatch):
     for x, y, cert in pairs:
         letters.clear()
         assert regularity._certificate(x, y, cert.r, cert.s) == cert
-        assert sum(letters) <= 5 * (len(x) + len(y)), (sum(letters) / (len(x) + len(y)), cert.dec_r, cert.dec_s)
+        assert sum(letters) <= 4 * (len(x) + len(y)), (sum(letters) / (len(x) + len(y)), cert.dec_r, cert.dec_s)
 
 
 def _claim_holds(cert, x, y):

@@ -48,24 +48,36 @@ def test_count_occurrences_matches_position_scan_random(w, p):
 
 
 def test_count_occurrences_resumes_a_period_past_each_start():
-    """Long periodic patterns, where the scan resumes more than one letter past a start.
+    """Long periodic patterns, which may start again fewer than |p| letters past a start.
 
-    Patterns are cut from roots of 1-25 letters to 1-60 letters, so patterns of
-    15-17 letters and smallest periods near |p| - 16 all occur; haystacks are
-    copies and cuts of the pattern.  The nested count is checked with an
-    occurrence ending exactly at the cut and with one ending a letter past it.
+    Patterns are cut from roots of 1-25 letters to 1-60 letters; haystacks are
+    copies and cuts of the pattern.  The scan resumes one letter past each start.
+    Residue counting is checked on the prefixes of B^ω of 1-4 blocks plus 0-|p|
+    letters, for blocks B that are the root, a rotation of it, a cut of the
+    pattern or empty; the cases must include a pattern longer than its block
+    with a residue, a residue at |B| - 1, and an empty block.
     """
     rng = random.Random("count-occurrences-resume")
+    seen = set()
     for _ in range(3000):
         root = "".join(rng.choice("01") for _ in range(rng.randint(1, 25)))
         p = (root * 60)[: rng.randint(1, 60)]
         pieces = (p, p, p[rng.randint(1, len(p)) :], p[: rng.randint(0, len(p))], root, "0", "1")
         w = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 8)))
         assert count_occurrences(w, p) == scan_count(w, p), (w, p)
-        i = w.find(p)
-        if i != -1:
-            for cut in (i + len(p), i + len(p) - 1):
-                assert words._nested_count(w, p, cut) == (scan_count(w[:cut], p), scan_count(w, p)), (w, p, cut)
+        turn = rng.randint(0, len(root))
+        block = rng.choice((root, root[turn:] + root[:turn], p[: rng.randint(0, len(p))]))
+        residues = words._residues(block, p)
+        length = len(block) * rng.randint(1, 4) + rng.randint(0, len(p))
+        prefix = (block * (length // len(block) + 1))[:length] if block else ""
+        assert words._power_count(residues, len(block), len(p), length) == scan_count(prefix, p), (block, p, length)
+        if residues and len(p) > len(block):
+            seen.add("longer")
+        if len(block) - 1 in residues:
+            seen.add("last")
+        if not block:
+            seen.add("empty")
+    assert seen == {"longer", "last", "empty"}
 
 
 def test_border_lengths_examples():
@@ -145,6 +157,9 @@ def test_power_count_params_rejects_mismatched_decomposition():
 
     with pytest.raises(InconsistentDecompositionError):
         power_count_params(BorderDecomposition("a", "b", 1), "aa")
+    # (uv)^-1 u is u as a Python string, but no power of uv: y = aba would count twice in uv^ω
+    with pytest.raises(InconsistentDecompositionError):
+        power_count_params(BorderDecomposition("aba", "b", -1), "aba")
 
 
 def test_power_count_linear_law():

@@ -77,16 +77,20 @@ MUTANTS = (
            "((e + 1, f + 1), (e + 1, f + 2))", "((e + 1, f + 1),)", CERTIFICATE),
     Mutant("y identity checked at one point", REGULARITY,
            "((e + 1, f + 1), (e + 2, f + 1))", "((e + 1, f + 1),)", CERTIFICATE),
-    Mutant("scan resumes one letter too far", WORDS,
-           "i = w.find(p, i + s)", "i = w.find(p, i + s + 1)", SCAN),
-    Mutant("nested count cut one letter short", WORDS,
-           "i <= cut - len(p)", "i < cut - len(p)", SCAN),
-    Mutant("power count d not net of c", WORDS, "d=both - c", "d=both",
-           ("tests/test_words.py::test_power_count_params_examples",)),
+    Mutant("residue window one letter short", WORDS,
+           "n = len(block) - 1 + len(p)", "n = len(block) - 2 + len(p)", SCAN),
+    Mutant("residue counted one time too few", WORDS,
+           "// period + 1, 0)", "// period, 0)", SCAN),
+    Mutant("first failing power named one too late", REGULARITY,
+           "- len(p)) // len(block)))))", "- len(p)) // len(block))) + 1))",
+           ("tests/test_regularity.py::test_certificate_self_check_rejects_mutations",)),
     Mutant("oracle counts non-overlapping occurrences", ORACLE,
            "cx = sum(z.startswith(x, i) for i in range(len(z) - len(x) + 1))", "cx = z.count(x)",
            ("tests/test_oracle.py::test_counter_membership_examples",
             "tests/test_oracle.py::test_counter_membership_matches_direct_counts")),
+    Mutant("oracle walk skips a pattern's first letter", ORACLE,
+           "if path[-n:] == p:", "if path[1 - n :] == p[1:]:",
+           ("tests/test_oracle.py::test_census_matches_a_scan_of_every_word",)),
 )
 
 
