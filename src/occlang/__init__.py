@@ -11,13 +11,11 @@ non-regular case, and ships the brute-force oracles used to validate it all.
 from .words import (
     Alphabet,
     BorderDecomposition,
-    PowerCountParams,
     Word,
     border_lengths,
     count_occurrences,
     decompose_bordered,
     is_bordered,
-    power_count_params,
 )
 from .automata import (
     Dfa,
@@ -77,7 +75,6 @@ __all__ = [
     "InterlaceVerdict",
     "Method",
     "NonRegularityCertificate",
-    "PowerCountParams",
     "RegularityOutcome",
     "Relation",
     "Word",
@@ -108,7 +105,6 @@ __all__ = [
     "matcher_automaton",
     "minimize",
     "non_regularity_certificate",
-    "power_count_params",
     "serialize",
     "shortest_accepted",
     "straddle_count",

@@ -33,10 +33,6 @@ class NotBorderedError(OcclangError):
     """The word is not bordered by the given border."""
 
 
-class InconsistentDecompositionError(OcclangError):
-    """A border decomposition does not reconstruct the claimed border."""
-
-
 class NotInClassAError(OcclangError):
     """The pattern is not of one of the shapes 01^+, 10^+, 0^+1, 1^+0."""
 

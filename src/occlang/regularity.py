@@ -31,13 +31,11 @@ from .interlace import interlaced
 from .words import (
     Alphabet,
     BorderDecomposition,
-    PowerCountParams,
     Word,
     _power_count,
     _residues,
     count_occurrences,
     decompose_bordered,
-    power_count_params,
 )
 
 
@@ -83,7 +81,10 @@ class NonRegularityCertificate(NamedTuple):
     where m, n count the occurrences straddling the block boundary; it follows
     that uv and pq do not commute.  decide_regularity checks all of it, for
     every such i and j, before it returns a certificate: one search per
-    avoidance claim and two points per identity are proven to suffice.
+    avoidance claim and two points per identity are proven to suffice.  The
+    fields are read off the check's own six searches, so each runs once:
+    c, d off the residues of y in uv, c', d' off those of x in pq, and m, n
+    off the two seam windows.
     """
 
     r: Word
@@ -154,27 +155,44 @@ def non_regularity_certificate(x: Word, y: Word, alphabet: Alphabet) -> NonRegul
 
 
 def _certificate(x: Word, y: Word, r: Word, s: Word) -> NonRegularityCertificate:
-    """The verified certificate with r, s the smallest y-, x-bordered words avoiding x, y."""
+    """The verified certificate with r, s the smallest y-, x-bordered words avoiding x, y.
+
+    Its fields are read off the self-check's own searches, which the check then uses.
+    (uv)^(e+1) and (uv)^(e+2) are prefixes of (uv)^ω, where y starts at a + t|uv| for
+    its residues a < |uv| and t >= 0, so c is counted from the residues.  The starts
+    gained from one to the other end in ((e+1)|uv|, (e+2)|uv|], which the ends
+    a + |y| + t|uv| of each residue meet exactly once, as a + |y| < (e+2)|uv| by
+    |y| = e|uv| + |u|: so d is the number of residues.  Likewise c', d' from the
+    residues of x in pq; m and n are the seam counts of x and y.
+    """
     dec_r = decompose_bordered(r, y)
     dec_s = decompose_bordered(s, x)
-    cd = power_count_params(dec_r, y)
-    cd_prime = power_count_params(dec_s, x)
-    left = dec_r.period_word() * (dec_r.e + 1)
-    right = dec_s.period_word() * (dec_s.e + 1)
+    searches = _searches(x, y, dec_r, dec_s)
+    (_, x_in_pq, m), (y_in_uv, _, n) = searches
+    P, Q = len(dec_r.period_word()), len(dec_s.period_word())
     cert = NonRegularityCertificate(
         r=r,
         s=s,
         dec_r=dec_r,
         dec_s=dec_s,
-        c=cd.c,
-        d=cd.d,
-        c_prime=cd_prime.c,
-        d_prime=cd_prime.d,
-        m=straddle_count(left, right, x),
-        n=straddle_count(left, right, y),
+        c=_power_count(y_in_uv, P, len(y), P * (dec_r.e + 1)),
+        d=len(y_in_uv),
+        c_prime=_power_count(x_in_pq, Q, len(x), Q * (dec_s.e + 1)),
+        d_prime=len(x_in_pq),
+        m=m,
+        n=n,
     )
-    _verify_certificate(cert, x, y)
+    _check(cert, x, y, searches)
     return cert
+
+
+def _searches(x: Word, y: Word, dec_r: BorderDecomposition, dec_s: BorderDecomposition) -> tuple:
+    """For x, then y: its residues in uv, its residues in pq, and its count in the seam
+    window of (uv)^(e+1) and (pq)^(f+1).  Six searches in all.
+    """
+    uv, pq = dec_r.period_word(), dec_s.period_word()
+    left, right = uv * (dec_r.e + 1), pq * (dec_s.e + 1)
+    return tuple((_residues(uv, p), _residues(pq, p), straddle_count(left, right, p)) for p in (x, y))
 
 
 def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> None:
@@ -200,8 +218,13 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
     A point's count adds the counts in its two blocks, prefixes of (uv)^ω and (pq)^ω read
     off the pattern's residues in uv and in pq, to the seam count, for which the window of
     (e+1, f+1) serves both points, as its varying half is whole there.  So each pattern
-    takes one search per block and one of the window.
+    takes one search per block and one of the window: those of _searches.
     """
+    _check(cert, x, y, _searches(x, y, cert.dec_r, cert.dec_s))
+
+
+def _check(cert: NonRegularityCertificate, x: Word, y: Word, searches: tuple) -> None:
+    """_verify_certificate, given _searches on the certificate's decompositions."""
     problems = []
     # With u nonempty, r = (uv)^(e+1) u = uv·y is y-bordered and prefixes the x-avoidance word.
     for name, dec, word, border in (("r", cert.dec_r, cert.r, y), ("s", cert.dec_s, cert.s, x)):
@@ -209,19 +232,16 @@ def _verify_certificate(cert: NonRegularityCertificate, x: Word, y: Word) -> Non
             problems.append(f"dec_{name} does not decompose {name}")
     uv, pq = cert.dec_r.period_word(), cert.dec_s.period_word()
     e, f = cert.dec_r.e, cert.dec_s.e
-    left, right = uv * (e + 1), pq * (f + 1)
-    for name, p, side, tail, low, text, points, formula in (
+    claims = (
         ("x", x, 0, cert.dec_r.u, e, "x occurs in (uv)^{} u", ((e + 1, f + 1), (e + 1, f + 2)),
          lambda i, j: (j - f) * cert.d_prime + cert.c_prime - cert.d_prime + cert.m),
         ("y", y, 1, cert.dec_s.u, f, "y occurs in (pq)^{} p", ((e + 1, f + 1), (e + 2, f + 1)),
          lambda i, j: (i - e) * cert.d + cert.c - cert.d + cert.n),
-    ):
-        held = _residues(uv, p), _residues(pq, p)
+    )
+    for (name, p, side, tail, low, text, points, formula), (*held, seam) in zip(claims, searches):
         block, avoid = (uv, pq)[side], held[side]
         if avoid:  # p occurs from the least power i > low with i|block| + |tail| >= min r + |p|
             problems.append(text.format(max(low + 1, -((len(tail) - min(avoid) - len(p)) // len(block)))))
-        k = len(p) - 1
-        seam = count_occurrences(left[max(len(left) - k, 0) :] + right[:k], p)
         problems += [f"{name}-count formula fails at i={i}, j={j}" for i, j in points
                      if _power_count(held[0], len(uv), len(p), i * len(uv)) + seam
                      + _power_count(held[1], len(pq), len(p), j * len(pq)) != formula(i, j)]

@@ -15,7 +15,6 @@ from .errors import (
     EmptyPatternError,
     EmptyWordError,
     ForeignSymbolError,
-    InconsistentDecompositionError,
     NotBorderedError,
 )
 
@@ -148,18 +147,6 @@ class BorderDecomposition(NamedTuple):
         return (self.u + self.v) * (self.e + 1) + self.u
 
 
-class PowerCountParams(NamedTuple):
-    """Occurrence growth of a border inside rising powers of its period word.
-
-    c counts the border in (uv)^{e+1}; d is the increase from (uv)^{e+1} to
-    (uv)^{e+2}.  Both are >= 1, and the count in (uv)^i is (i-e)d + c - d for
-    every i > e.
-    """
-
-    c: int
-    d: int
-
-
 def decompose_bordered(z: Word, y: Word) -> BorderDecomposition:
     """The unique decomposition (u, v, e) of a y-bordered z with u nonempty and e maximal.
 
@@ -174,21 +161,3 @@ def decompose_bordered(z: Word, y: Word) -> BorderDecomposition:
     # z is period-periodic because its y-prefix and y-suffix overlap it entirely,
     # so both reconstruction identities hold by construction.
     return BorderDecomposition(u=y[:ulen], v=z[ulen:period], e=e)
-
-
-def power_count_params(dec: BorderDecomposition, y: Word) -> PowerCountParams:
-    """Count the border y inside (uv)^{e+1} and (uv)^{e+2} of the decomposition.
-
-    Both are prefixes of (uv)^ω, where y starts at r + t|uv| for its residues
-    r < |uv| and t >= 0, so c is counted from the residues.  The starts gained from
-    one to the other end in ((e+1)|uv|, (e+2)|uv|], which the ends r + |y| + t|uv| of
-    each residue meet exactly once, as r + |y| < (e+2)|uv| by |y| = e|uv| + |u|: so d
-    is the number of residues.
-    """
-    if dec.e < 0 or dec.border() != y:
-        raise InconsistentDecompositionError(
-            f"(u, v, e) = ({dec.u!r}, {dec.v!r}, {dec.e}) does not reconstruct {y!r}"
-        )
-    uv = dec.period_word()
-    held = _residues(uv, y)
-    return PowerCountParams(c=_power_count(held, len(uv), len(y), len(uv) * (dec.e + 1)), d=len(held))

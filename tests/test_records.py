@@ -15,7 +15,6 @@ from occlang import (
     decompose_bordered,
     interlaced,
     matcher_automaton,
-    power_count_params,
 )
 
 from helpers import BIN, TERN, UNARY
@@ -27,7 +26,6 @@ def _records():
     dec = decompose_bordered("01001", "01")
     return [
         dec,
-        power_count_params(dec, "01"),
         interlaced("01", "10", TERN),
         outcome,
         outcome.certificate,

@@ -267,18 +267,19 @@ def test_certificate_self_check_searches_each_block_once(monkeypatch):
 
 
 def test_certificate_builder_searches_each_block_once(monkeypatch):
-    """Letters searched by the certificate builder, without its check, per letter of x + y.
+    """Letters searched by the certificate builder, its check included, per letter of x + y.
 
-    It searches the residue windows of y in uv and of x in pq, of |uv| - 1 + |y|
-    and |pq| - 1 + |x| letters, and the two seam windows for m and n: 4.
+    The builder counted the residues of y in uv and of x in pq and the two seam
+    windows, 4, and its check searched those four again among its six, 10 in
+    all.  The builder now reads its fields off the check's six searches: 6.
     """
     pairs = _certificate_pairs()
     letters = _count_letters(monkeypatch)
-    monkeypatch.setattr(regularity, "_verify_certificate", lambda cert, x, y: None)
     for x, y, cert in pairs:
         letters.clear()
         assert regularity._certificate(x, y, cert.r, cert.s) == cert
-        assert sum(letters) <= 4 * (len(x) + len(y)), (sum(letters) / (len(x) + len(y)), cert.dec_r, cert.dec_s)
+        assert len(letters) == 6
+        assert sum(letters) <= 6 * (len(x) + len(y)), (sum(letters) / (len(x) + len(y)), cert.dec_r, cert.dec_s)
 
 
 def _claim_holds(cert, x, y):

@@ -9,13 +9,11 @@ from occlang import (
     count_occurrences,
     decompose_bordered,
     is_bordered,
-    power_count_params,
 )
 from occlang.errors import (
     EmptyPatternError,
     EmptyWordError,
     ForeignSymbolError,
-    InconsistentDecompositionError,
     NotBorderedError,
 )
 from occlang import words
@@ -47,7 +45,7 @@ def test_count_occurrences_matches_position_scan_random(w, p):
     assert count_occurrences(w, p) == scan_count(w, p)
 
 
-def test_count_occurrences_resumes_a_period_past_each_start():
+def test_residue_counts_match_a_scan():
     """Long periodic patterns, which may start again fewer than |p| letters past a start.
 
     Patterns are cut from roots of 1-25 letters to 1-60 letters; haystacks are
@@ -136,30 +134,29 @@ def test_decompose_bordered_reconstructs_exhaustively():
             assert dec.bordered_word() == z
 
 
-def test_power_count_params_examples():
+def _builder_c_d(dec, y):
+    """c and d as the certificate builder reads them off the residues of y in uv.
+
+    c counts y in (uv)^{e+1} from its residues, and d is their number, the
+    increase from (uv)^{e+1} to (uv)^{e+2}.
+    """
+    uv = dec.period_word()
+    held = words._residues(uv, y)
+    return words._power_count(held, len(uv), len(y), (dec.e + 1) * len(uv)), len(held)
+
+
+def test_power_count_examples():
     # counted in (uv)^{e+1} and (uv)^{e+2}
     from occlang import BorderDecomposition
 
-    params = power_count_params(BorderDecomposition("a", "lf", 1), "alfa")
-    assert (params.c, params.d) == (1, 1)
+    assert _builder_c_d(BorderDecomposition("a", "lf", 1), "alfa") == (1, 1)
     assert (scan_count("alfalf", "alfa"), scan_count("alfalfalf", "alfa")) == (1, 2)
 
-    params = power_count_params(BorderDecomposition("ab", "", 0), "ab")
-    assert (params.c, params.d) == (scan_count("ab", "ab"), scan_count("abab", "ab") - 1)
-    assert (params.c, params.d) == (1, 1)
+    c, d = _builder_c_d(BorderDecomposition("ab", "", 0), "ab")
+    assert (c, d) == (scan_count("ab", "ab"), scan_count("abab", "ab") - 1)
+    assert (c, d) == (1, 1)
 
-    params = power_count_params(BorderDecomposition("a", "a", 0), "a")
-    assert (params.c, params.d) == (2, 2)
-
-
-def test_power_count_params_rejects_mismatched_decomposition():
-    from occlang import BorderDecomposition
-
-    with pytest.raises(InconsistentDecompositionError):
-        power_count_params(BorderDecomposition("a", "b", 1), "aa")
-    # (uv)^-1 u is u as a Python string, but no power of uv: y = aba would count twice in uv^ω
-    with pytest.raises(InconsistentDecompositionError):
-        power_count_params(BorderDecomposition("aba", "b", -1), "aba")
+    assert _builder_c_d(BorderDecomposition("a", "a", 0), "a") == (2, 2)
 
 
 def test_power_count_linear_law():
@@ -168,11 +165,11 @@ def test_power_count_linear_law():
         for b in border_lengths(z):
             y = z[:b]
             dec = decompose_bordered(z, y)
-            params = power_count_params(dec, y)
-            assert params.c >= 1 and params.d >= 1
+            c, d = _builder_c_d(dec, y)
+            assert c >= 1 and d >= 1
             uv = dec.period_word()
             for i in range(dec.e + 1, dec.e + 6):
-                assert count_occurrences(uv * i, y) == (i - dec.e) * params.d + params.c - params.d
+                assert count_occurrences(uv * i, y) == (i - dec.e) * d + c - d
 
 
 def test_alphabet_basics():

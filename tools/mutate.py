@@ -45,7 +45,7 @@ WALK = ("tests/test_interlace.py::test_bordered_walk_examples",
 MINIMIZE = ("tests/test_automata.py::test_minimize_matches_a_naive_reference",)
 TRACKER = ("tests/test_regularity.py::test_tracker_state_counts",
            "tests/test_regularity.py::test_folded_tracker_agrees_with_the_counts")
-SCAN = ("tests/test_words.py::test_count_occurrences_resumes_a_period_past_each_start",)
+SCAN = ("tests/test_words.py::test_residue_counts_match_a_scan",)
 CERTIFICATE = ("tests/test_regularity.py::test_certificate_self_check_rejects_mutations",
                "tests/test_regularity.py::test_certificate_self_check_decides_the_whole_claim")
 
@@ -81,6 +81,9 @@ MUTANTS = (
            "n = len(block) - 1 + len(p)", "n = len(block) - 2 + len(p)", SCAN),
     Mutant("residue counted one time too few", WORDS,
            "// period + 1, 0)", "// period, 0)", SCAN),
+    Mutant("certificate's d one more than its residues", REGULARITY,
+           "d=len(y_in_uv),", "d=len(y_in_uv) + 1,",
+           ("tests/test_regularity.py::test_certificate_golden_binary",)),
     Mutant("first failing power named one too late", REGULARITY,
            "- len(p)) // len(block)))))", "- len(p)) // len(block))) + 1))",
            ("tests/test_regularity.py::test_certificate_self_check_rejects_mutations",)),
